@@ -2,8 +2,8 @@
 # Pre-PR gate: byte-compile everything, run the tier-1 suite (with any
 # DeprecationWarning raised from repro's own code escalated to an
 # error), the robustness suite, the streaming suite, the chaos
-# (fault-injection) suite, a 2-worker parallel end-to-end smoke run,
-# and the batch-vs-replay parity gate.  All of it must pass before a
+# (fault-injection) suite, an end-to-end stage-cache smoke run, the
+# batch-vs-replay parity gate and the analysis-service smoke.  All of it must pass before a
 # change ships (see README.md, "Tests").
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,15 +34,15 @@ else
   echo "pytest-cov not installed; skipping coverage gate"
 fi
 
-echo "== parallel smoke run (2 workers) =="
+echo "== stage-cache smoke run =="
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 python -m repro.cli simulate --scenario quickstart --out "$SMOKE_DIR" >/dev/null
-python -m repro.cli analyze --cache "$SMOKE_DIR" --workers 2 >/dev/null
+python -m repro.cli analyze --cache "$SMOKE_DIR" >/dev/null
 # Second invocation must start warm from the persisted stage cache.
-python -m repro.cli analyze --cache "$SMOKE_DIR" --workers 2 \
+python -m repro.cli analyze --cache "$SMOKE_DIR" \
   | grep -q "0 miss(es)" \
-  || { echo "parallel smoke run: stage cache did not warm" >&2; exit 1; }
+  || { echo "stage-cache smoke run: stage cache did not warm" >&2; exit 1; }
 
 echo "== batch-vs-replay parity gate =="
 # Streaming the same dataset chunk-by-chunk must land on the exact

@@ -16,11 +16,9 @@ Quick start — the one-shot facade::
     print(len(result.associations), "trajectory shifts closely after them")
 
 Hold a :class:`CosmicDance` instead for the incremental fetch → re-run
-loop and the post-run analysis delegates; configure ``workers=4`` (or
-pass a :class:`ParallelExecutor`) to spread the per-satellite fleet
-stage over a process pool.  For a long-lived multi-consumer server,
-start the analysis service with :func:`repro.serve` — see
-``docs/API.md`` for the full public surface.
+loop and the post-run analysis delegates.  For a long-lived
+multi-consumer server, start the analysis service with
+:func:`repro.serve` — see ``docs/API.md`` for the full public surface.
 """
 
 # The repro.serve *package* must be imported before the serve()
@@ -36,13 +34,7 @@ from repro.core.config import CosmicDanceConfig
 from repro.core.decay import DecayAssessment, DecayState
 from repro.core.pipeline import CosmicDance, PipelineResult
 from repro.core.relations import Association, TrajectoryEvent, TrajectoryEventKind
-from repro.exec import (
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    StageMemo,
-    result_digest,
-)
+from repro.exec import StageMemo, result_digest
 from repro.obs import MetricsRegistry, Tracer
 from repro.inputs import coerce_dst, coerce_elements
 from repro.robustness.health import QuarantineLedger, RunHealth
@@ -67,7 +59,7 @@ from repro.tle.elements import MeanElements
 from repro.tle.format import format_tle
 from repro.tle.parse import parse_tle, parse_tle_file
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Alert",
@@ -82,18 +74,15 @@ __all__ = [
     "DecayState",
     "DstIndex",
     "Epoch",
-    "Executor",
     "FeedChunk",
     "MeanElements",
     "MetricsRegistry",
     "OnlineStormDetector",
-    "ParallelExecutor",
     "PipelineResult",
     "QuarantineLedger",
     "RetryPolicy",
     "RunHealth",
     "SatelliteCatalog",
-    "SerialExecutor",
     "ServeRequest",
     "ServeResponse",
     "StageMemo",

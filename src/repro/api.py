@@ -4,7 +4,7 @@ Most callers want exactly one thing — "here is space-weather data and a
 TLE archive; tell me what the storms did to the fleet".  That is this
 module.  The incremental machinery underneath (:class:`~repro.core.
 pipeline.CosmicDance`, :class:`~repro.core.ingest.IngestState`, the
-executor subsystem) stays available for the fetch-loop use case, but
+stage cache) stays available for the fetch-loop use case, but
 it is no longer the front door::
 
     from repro import analyze
@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.core.config import CosmicDanceConfig
 from repro.core.pipeline import CosmicDance, PipelineResult
-from repro.exec import Executor, StageMemo
+from repro.exec import StageMemo
 from repro.inputs import coerce_dst, ingest_elements
 from repro.spaceweather.dst import DstIndex
 from repro.tle.catalog import SatelliteCatalog
@@ -62,7 +62,6 @@ def analyze(
     elements: "Iterable[MeanElements] | SatelliteCatalog | str",
     *,
     config: CosmicDanceConfig | None = None,
-    executor: Executor | None = None,
     memo: StageMemo | None = None,
     tracer: "Tracer | None" = None,
 ) -> PipelineResult:
@@ -76,17 +75,15 @@ def analyze(
     :mod:`repro.inputs`; a shape neither recognises raises
     :class:`~repro.errors.InputError`.
 
-    *config* tunes thresholds and execution (``workers=4`` parallelises
-    the fleet stage); *executor*/*memo* inject a specific
-    :class:`~repro.exec.Executor` or a shared stage cache — see
-    ``docs/EXECUTION.md``.  *tracer* (or ``config.trace``) turns on the
+    *config* tunes thresholds and execution; *memo* injects a shared
+    stage cache — see ``docs/EXECUTION.md``.  *tracer* (or ``config.trace``) turns on the
     observability subsystem: pass a live :class:`~repro.obs.Tracer` and
     read its spans back after the call — see ``docs/OBSERVABILITY.md``.
     Returns the :class:`~repro.core.pipeline.PipelineResult`; post-run
     delegates (Fig. 4 curves, re-entry predictions, ...) need a held
     :class:`~repro.core.pipeline.CosmicDance` instead.
     """
-    pipeline = CosmicDance(config, executor=executor, memo=memo, tracer=tracer)
+    pipeline = CosmicDance(config, memo=memo, tracer=tracer)
     pipeline.ingest.add_dst(coerce_dst(dst))
     ingest_elements(pipeline.ingest, elements, source="analyze()")
     return pipeline.run()
@@ -99,7 +96,6 @@ def replay(
     chunk_hours: float = 24.0,
     run_every: int | None = None,
     config: CosmicDanceConfig | None = None,
-    executor: Executor | None = None,
     memo: StageMemo | None = None,
     tracer: "Tracer | None" = None,
     thresholds: "TriggerThresholds | None" = None,
@@ -132,7 +128,6 @@ def replay(
 
     monitor = StreamMonitor(
         config,
-        executor=executor,
         memo=memo,
         tracer=tracer,
         thresholds=thresholds,

@@ -46,7 +46,7 @@ from repro.errors import ReproError
 from repro.inputs import coerce_dst
 from repro.io.store import DataStore
 from repro.robustness.retry import RetryPolicy
-from repro.spaceweather.storms import detect_episodes
+from repro.spaceweather.storms import detect_episodes, episode_row
 
 
 def _load_dst(path: pathlib.Path):
@@ -107,14 +107,6 @@ def _add_threshold_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker processes for the per-satellite fleet stage "
-             "(0/1: serial; >=2: process pool)",
-    )
-    parser.add_argument(
         "--no-stage-cache",
         action="store_true",
         help="disable per-satellite stage memoization",
@@ -133,7 +125,6 @@ def _pipeline_for(args: argparse.Namespace) -> CosmicDance:
     return CosmicDance(
         CosmicDanceConfig(
             strict=getattr(args, "strict", False),
-            workers=getattr(args, "workers", 0),
             cache_stages=not getattr(args, "no_stage_cache", False),
             trace=getattr(args, "trace", False),
         )
@@ -263,16 +254,6 @@ def _effective_threshold(args: argparse.Namespace, dst) -> float:
     return dst.intensity_percentile(percentile)
 
 
-def _episode_row(episode) -> dict[str, Any]:
-    return {
-        "start": episode.start.isoformat(),
-        "end": episode.end.isoformat(),
-        "peak_nt": episode.peak_nt,
-        "duration_hours": episode.duration_hours,
-        "level": episode.level.name,
-    }
-
-
 def cmd_storms(args: argparse.Namespace) -> int:
     dst = _load_dst(args.dst)
     threshold = _effective_threshold(args, dst)
@@ -297,7 +278,7 @@ def cmd_storms(args: argparse.Namespace) -> int:
     return _finish(args, {
         "command": "storms",
         "threshold_nt": threshold,
-        "episodes": [_episode_row(e) for e in episodes],
+        "episodes": [episode_row(e) for e in episodes],
     })
 
 
@@ -347,7 +328,7 @@ def _analysis_payload(result) -> dict[str, Any]:
     return {
         "result_digest": result_digest(result),
         "event_threshold_nt": result.event_threshold_nt,
-        "storm_episodes": [_episode_row(e) for e in result.storm_episodes],
+        "storm_episodes": [episode_row(e) for e in result.storm_episodes],
         "associations": [
             {
                 "satellite": a.event.catalog_number,
@@ -535,8 +516,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             f"no dataset under {args.cache}; run "
             "'cosmicdance simulate --out ...' first"
         )
-    config = CosmicDanceConfig(workers=args.workers)
-    monitor = StreamMonitor(config, store=store, run_every=args.run_every)
+    monitor = StreamMonitor(store=store, run_every=args.run_every)
     chunks = split_feed(dst, catalog, chunk_hours=args.chunk_hours)
     updates = monitor.replay(chunks)
 
@@ -575,9 +555,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.verify_parity:
         from repro import analyze
 
-        batch = result_digest(
-            analyze(dst, catalog, config=CosmicDanceConfig(workers=args.workers))
-        )
+        batch = result_digest(analyze(dst, catalog))
         payload["parity_ok"] = batch == digest
         if batch != digest:
             print(
@@ -842,10 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-every", type=int, default=None, metavar="N",
         help="refresh the analysis every N chunks (default: once, at "
              "end of feed)",
-    )
-    replay.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="worker processes for each analysis refresh",
     )
     replay.add_argument(
         "--verify-parity", action="store_true",

@@ -55,11 +55,6 @@ class CosmicDanceConfig:
     #: ``run()`` instead of quarantining the satellite and continuing
     #: (see ``docs/ROBUSTNESS.md``).
     strict: bool = False
-    #: Worker processes for the per-satellite fleet stage: 0 or 1 runs
-    #: serially in-process, >= 2 selects a process-pool
-    #: :class:`~repro.exec.parallel.ParallelExecutor` of that size
-    #: (see ``docs/EXECUTION.md``).
-    workers: int = 0
     #: Memoize per-satellite stage outcomes by (history digest, config
     #: digest) so re-runs after incremental ingest only recompute dirty
     #: satellites.
@@ -81,5 +76,3 @@ class CosmicDanceConfig:
             )
         if self.association_window_hours <= 0:
             raise PipelineError("association window must be positive")
-        if self.workers < 0:
-            raise PipelineError(f"workers must be >= 0, got {self.workers}")

@@ -23,11 +23,10 @@ delegates::
 The pipeline is deliberately stage-wise and recomputable: ``run()`` can
 be called again after more data arrives (the incremental-fetch pattern
 of the original tool).  The per-satellite fleet stage (clean → detect →
-assess) runs through a pluggable :class:`~repro.exec.Executor` —
-serial by default, a process pool with ``config.workers >= 2`` — and
-its outcomes are memoized per satellite by content digest
-(``config.cache_stages``) so a re-run only recomputes satellites whose
-ingested records changed.  See ``docs/EXECUTION.md``.
+assess) runs in one in-process loop, and its outcomes are memoized per
+satellite by content digest (``config.cache_stages``) so a re-run only
+recomputes satellites whose ingested records changed.  See
+``docs/EXECUTION.md``.
 """
 
 from __future__ import annotations
@@ -67,13 +66,12 @@ from repro.core.windows import AltitudeChangeCurves, post_event_curves
 from repro.errors import PipelineError
 from repro.exec import (
     SATELLITE_SPAN,
-    Executor,
     SatelliteOutcome,
     SatelliteTask,
     StageMemo,
     config_digest,
-    default_executor,
     history_digest,
+    outcome_span_attrs,
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, NullMetrics
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
@@ -135,7 +133,7 @@ class PipelineResult:
 
 
 def satellite_task(history: SatelliteHistory) -> SatelliteTask:
-    """Package one satellite history as an executor work unit."""
+    """Package one satellite history as a fleet-stage work unit."""
     elements = tuple(history)
     return SatelliteTask(
         catalog_number=history.catalog_number,
@@ -149,10 +147,10 @@ def process_satellite(
 ) -> SatelliteOutcome:
     """The per-satellite work unit: clean → detect → assess.
 
-    Module-level (picklable by reference) so any executor — in-process
-    or a worker pool — can run it.  Detection/assessment go through
-    this module's globals on purpose: the fault-injection seam used by
-    the robustness suite monkeypatches them here.
+    :meth:`CosmicDance.run` looks this name up in the module globals at
+    call time, and detection/assessment go through this module's
+    globals too, on purpose: the robustness suite's fault-injection
+    seam monkeypatches them here.
 
     With ``capture=True`` an exception becomes the outcome's ``error``
     fields (the pipeline quarantines the satellite); ``capture=False``
@@ -207,7 +205,6 @@ def process_satellite(
 class CosmicDance:
     """The measurement pipeline (paper §3).
 
-    ``executor`` overrides the one implied by ``config.workers``;
     ``memo`` overrides the per-instance stage cache (pass a shared
     :class:`~repro.exec.StageMemo` to pool memoization across
     pipelines, or rely on ``config.cache_stages`` for the default);
@@ -215,7 +212,7 @@ class CosmicDance:
     live :class:`~repro.obs.Tracer` to capture spans across several
     runs, or rely on the flag — off means the null tracer and zero
     observability overhead); ``task_factory`` overrides how histories
-    become executor work units (:func:`satellite_task` by default —
+    become fleet-stage work units (:func:`satellite_task` by default —
     the streaming planner plugs in a digest-caching factory here).
     """
 
@@ -223,7 +220,6 @@ class CosmicDance:
         self,
         config: CosmicDanceConfig | None = None,
         *,
-        executor: Executor | None = None,
         memo: StageMemo | None = None,
         tracer: "Tracer | NullTracer | None" = None,
         task_factory: "Callable[[SatelliteHistory], SatelliteTask] | None" = None,
@@ -231,7 +227,6 @@ class CosmicDance:
         self.config = config or CosmicDanceConfig()
         self.ingest = IngestState()
         self._task_factory = task_factory or satellite_task
-        self.executor: Executor = executor or default_executor(self.config)
         if memo is not None:
             self.memo: StageMemo | None = memo
         else:
@@ -259,17 +254,15 @@ class CosmicDance:
         """Clean, detect storms, extract relations; returns the result."""
         catalog, dst = self.ingest.require_ready()
         logger.info(
-            "run: %d satellites, %d TLE records, %d Dst hours (executor=%s)",
-            len(catalog), catalog.total_records(), len(dst), self.executor.name,
+            "run: %d satellites, %d TLE records, %d Dst hours",
+            len(catalog), catalog.total_records(), len(dst),
         )
         # Per-run ledger: starts from a snapshot of everything ingestion
         # quarantined so far, then collects this run's own entries.
         # Folding a *snapshot* (not the live ledger) keeps repeated
         # run() calls from double-counting earlier runs' entries.
         run_ledger = QuarantineLedger(self.ingest.ledger.snapshot())
-        with self.tracer.span(
-            "run", satellites=len(catalog), executor=self.executor.name
-        ):
+        with self.tracer.span("run", satellites=len(catalog)):
             return self._run_stages(catalog, dst, run_ledger)
 
     def _run_stages(
@@ -281,9 +274,9 @@ class CosmicDance:
         """One run's stage sequence (fleet → storms → associate), inside
         the caller's open ``run`` span."""
         # Fleet stage: clean → detect → assess, one isolated unit per
-        # satellite, through the pluggable executor.  One history
-        # tripping an exception must not abort the fleet: failures
-        # quarantine the satellite (or, with config.strict, re-raise).
+        # satellite.  One history tripping an exception must not abort
+        # the fleet: failures quarantine the satellite (or, with
+        # config.strict, re-raise).
         with self.tracer.span("stage:fleet") as fleet_span:
             fleet_started = time.perf_counter()
             # Sorted by catalog number so results (event order, digests)
@@ -301,37 +294,32 @@ class CosmicDance:
                     hit = self.memo.get(task.digest, cfg_digest)
                     if hit is not None:
                         cached[task.catalog_number] = hit
-                        if self.tracer.enabled:
-                            # Cache hits never reach an executor, so the
-                            # pipeline spans them itself (duration ≈ the
-                            # memo lookup, which just happened — record
-                            # an instantaneous marker span).
-                            with self.tracer.span(SATELLITE_SPAN) as hit_span:
-                                hit_span.set(
-                                    catalog_number=task.catalog_number,
-                                    records=task.record_count,
-                                    cache="hit",
-                                )
+                        # An instantaneous marker span: the stage never
+                        # runs for a hit, and the memo lookup just
+                        # happened.
+                        with self.tracer.span(
+                            SATELLITE_SPAN,
+                            catalog_number=task.catalog_number,
+                            records=task.record_count,
+                            cache="hit",
+                        ):
+                            pass
                     else:
                         dirty.append(task)
                 cache_hits, cache_misses = len(cached), len(dirty)
             else:
                 dirty = list(tasks)
                 cache_hits = cache_misses = 0
-            if self.tracer.enabled:
-                fleet_outcomes = self.executor.run_fleet(
-                    process_satellite, dirty, self.config, tracer=self.tracer
-                )
-            else:
-                # Never forward the tracer kwarg on the untraced path:
-                # minimal Executor stand-ins (tests, user plugins) may
-                # predate the keyword.
-                fleet_outcomes = self.executor.run_fleet(
-                    process_satellite, dirty, self.config
-                )
-            computed = {
-                outcome.catalog_number: outcome for outcome in fleet_outcomes
-            }
+            # process_satellite is resolved from the module globals on
+            # every call, so anything that rebinds it (fault injection,
+            # profiling wrappers) takes effect.
+            capture = not self.config.strict
+            computed: dict[int, SatelliteOutcome] = {}
+            for task in dirty:
+                with self.tracer.span(SATELLITE_SPAN) as span:
+                    outcome = process_satellite(task, self.config, capture=capture)
+                    span.set(**outcome_span_attrs(task, outcome))
+                computed[task.catalog_number] = outcome
 
             events: list[TrajectoryEvent] = []
             assessments: dict[int, DecayAssessment] = {}

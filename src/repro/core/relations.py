@@ -64,7 +64,10 @@ def detect_drag_spikes(
 
     The baseline is a trailing median over ``drag_baseline_days``; a
     spike event is emitted at the first record of each excursion run
-    exceeding ``drag_spike_factor`` times the baseline.
+    exceeding ``drag_spike_factor`` times the baseline.  Real TLEs can
+    carry negative B*: a record whose baseline is <= 0 has no defined
+    ratio and ends any open excursion, so the next spike after it is a
+    new event.
     """
     config = config or CosmicDanceConfig()
     elements = cleaned.elements
@@ -81,6 +84,7 @@ def detect_drag_spikes(
         baseline_window = bstars[lo : i + 1]
         baseline = float(np.median(baseline_window))
         if baseline <= 0:
+            in_spike = False
             continue
         ratio = bstars[i] / baseline
         if ratio >= config.drag_spike_factor:

@@ -65,10 +65,6 @@ class InputError(IngestError):
     """A public-API input could not be coerced to its parsed form."""
 
 
-class ExecutionError(PipelineError):
-    """Executor misconfiguration or unrecoverable worker-pool failure."""
-
-
 class StreamError(PipelineError):
     """Malformed feed chunk or mis-sequenced streaming-monitor call."""
 

@@ -1,34 +1,22 @@
-"""``repro.exec`` — the pluggable fleet-execution subsystem.
+"""``repro.exec`` — fleet-stage value types, digests and the stage cache.
 
 The CosmicDance pipeline's per-satellite stage (clean → detect →
-assess) runs through an :class:`Executor`:
-
-* :class:`SerialExecutor` — in-process, task by task; the default and
-  the semantic baseline;
-* :class:`ParallelExecutor` — a process pool over record-count-balanced
-  chunks with deterministic result ordering and quarantine-preserving
-  failure semantics.
-
+assess) consumes :class:`SatelliteTask`\\ s and produces
+:class:`SatelliteOutcome`\\ s in one in-process loop.
 :class:`StageMemo` memoizes stage outcomes by (history digest, config
 digest) so a re-``run()`` after incremental ingest only recomputes
-dirty satellites.  See ``docs/EXECUTION.md`` for the worker model,
-determinism guarantees, and cache-invalidation rules.
+dirty satellites.  See ``docs/EXECUTION.md`` for the determinism
+guarantees and cache-invalidation rules.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.exec.base import (
     SATELLITE_SPAN,
-    Executor,
     SatelliteOutcome,
     SatelliteTask,
-    StageFn,
-    failure_outcome,
     outcome_span_attrs,
 )
-from repro.exec.chunking import balanced_chunks
 from repro.exec.digests import (
     EXECUTION_FIELDS,
     cache_key,
@@ -37,39 +25,16 @@ from repro.exec.digests import (
     result_digest,
 )
 from repro.exec.memo import StageMemo
-from repro.exec.parallel import ParallelExecutor
-from repro.exec.serial import SerialExecutor
-
-if TYPE_CHECKING:
-    from repro.core.config import CosmicDanceConfig
 
 __all__ = [
     "EXECUTION_FIELDS",
-    "Executor",
-    "ParallelExecutor",
     "SATELLITE_SPAN",
     "SatelliteOutcome",
     "SatelliteTask",
-    "SerialExecutor",
-    "StageFn",
     "StageMemo",
-    "balanced_chunks",
     "cache_key",
     "config_digest",
-    "default_executor",
-    "failure_outcome",
     "history_digest",
     "outcome_span_attrs",
     "result_digest",
 ]
-
-
-def default_executor(config: "CosmicDanceConfig") -> Executor:
-    """The executor implied by ``config.workers``.
-
-    ``workers <= 1`` keeps the serial baseline; anything higher builds
-    a process pool of that size.
-    """
-    if config.workers and config.workers > 1:
-        return ParallelExecutor(config.workers)
-    return SerialExecutor()

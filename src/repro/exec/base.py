@@ -1,36 +1,28 @@
-"""Execution-layer value types: tasks, outcomes, and the Executor protocol.
+"""Execution-layer value types: the fleet stage's tasks and outcomes.
 
 The fleet stage of the pipeline (clean → detect → assess, once per
-satellite) is embarrassingly parallel: satellites share no state until
-the association step.  This module defines the unit of work
-(:class:`SatelliteTask`), the unit of result (:class:`SatelliteOutcome`),
-and the :class:`Executor` protocol that runs a *stage function* over a
-fleet of tasks.
-
-Everything here must survive a process boundary: tasks, outcomes, and
-stage functions are pickled when a :class:`~repro.exec.parallel.
-ParallelExecutor` ships them to worker processes.  Stage functions are
-therefore plain module-level callables (pickled by reference), and
-outcomes carry failures as *strings*, never live exception objects.
+satellite) treats each satellite in isolation: satellites share no
+state until the association step.  This module defines the unit of
+work (:class:`SatelliteTask`) and the unit of result
+(:class:`SatelliteOutcome`).  Outcomes carry failures as *strings*,
+never live exception objects, so they can be cached and compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from repro.core.cleaning import CleanedHistory, CleaningReport
-    from repro.core.config import CosmicDanceConfig
     from repro.core.decay import DecayAssessment
     from repro.core.relations import TrajectoryEvent
-    from repro.obs.tracer import Tracer
     from repro.tle.elements import MeanElements
 
 
 @dataclass(frozen=True, slots=True)
 class SatelliteTask:
-    """One satellite's raw history, packaged for a fleet executor.
+    """One satellite's raw history, packaged for the fleet stage.
 
     ``digest`` is the stable content hash of the element sets (see
     :func:`repro.exec.digests.history_digest`); together with the config
@@ -45,7 +37,7 @@ class SatelliteTask:
 
     @property
     def record_count(self) -> int:
-        """Work-size proxy used for record-count-balanced chunking."""
+        """Raw record count (the ``records`` span attribute)."""
         return len(self.elements)
 
 
@@ -72,8 +64,7 @@ class SatelliteOutcome:
     report: "CleaningReport | None"
     #: ``"ExcType: message"`` when the stage failed, else None.
     error: str | None = None
-    #: Which sub-stage failed (``clean``/``detect``/``assess``/
-    #: ``executor`` for pool-level losses).
+    #: Which sub-stage failed (``clean``/``detect``/``assess``).
     error_stage: str | None = None
     #: True when this outcome was served from the stage cache.
     from_cache: bool = False
@@ -83,44 +74,7 @@ class SatelliteOutcome:
         return self.error is None
 
 
-#: The per-satellite work unit.  Must be a module-level callable so a
-#: process pool can pickle it by reference.  ``capture=False`` lets the
-#: first exception propagate (strict mode); ``capture=True`` folds it
-#: into the outcome's ``error`` fields.
-StageFn = Callable[..., SatelliteOutcome]
-
-
-@runtime_checkable
-class Executor(Protocol):
-    """Runs a stage function over a fleet of satellite tasks.
-
-    Implementations must return one outcome per task **in task order**,
-    regardless of completion order, and must honor ``config.strict``:
-    strict runs re-raise the first stage failure, lenient runs capture
-    every failure in its outcome.
-
-    ``tracer`` is the optional observability hook (see ``repro.obs``):
-    when given an *enabled* tracer, implementations record one
-    ``satellite`` span per executed task with the attribute schema of
-    :func:`outcome_span_attrs`.  ``None`` (the default) and disabled
-    tracers must cost nothing.
-    """
-
-    #: Short human-readable name (``serial``, ``parallel``), used in
-    #: logs and health reports.
-    name: str
-
-    def run_fleet(
-        self,
-        stage: StageFn,
-        tasks: Sequence[SatelliteTask],
-        config: "CosmicDanceConfig",
-        *,
-        tracer: "Tracer | None" = None,
-    ) -> list[SatelliteOutcome]: ...
-
-
-#: Span name every executor uses for one per-satellite stage unit.
+#: Span name for one per-satellite stage unit.
 SATELLITE_SPAN = "satellite"
 
 
@@ -129,11 +83,9 @@ def outcome_span_attrs(
 ) -> dict[str, Any]:
     """The canonical span attributes for one executed satellite.
 
-    Shared by every executor (and the worker-side chunk runner) so the
-    trace schema is identical whether the stage ran in-process or in a
-    pool worker: catalog number, record count, ``cache="miss"`` (cache
-    hits never reach an executor; the pipeline spans those itself),
-    and — on failure — the quarantine stage and reason.
+    Catalog number, record count, ``cache="miss"`` (cache hits never
+    run the stage; the pipeline spans those with ``cache="hit"``), and
+    — on failure — the quarantine stage and reason.
     """
     attrs: dict[str, Any] = {
         "catalog_number": task.catalog_number,
@@ -146,19 +98,3 @@ def outcome_span_attrs(
         attrs["reason"] = outcome.error
     return attrs
 
-
-def failure_outcome(
-    task: SatelliteTask, stage: str, error: BaseException | str
-) -> SatelliteOutcome:
-    """An outcome recording that *task* was lost to *error* at *stage*."""
-    if isinstance(error, BaseException):
-        error = f"{type(error).__name__}: {error}"
-    return SatelliteOutcome(
-        catalog_number=task.catalog_number,
-        cleaned=None,
-        events=(),
-        assessment=None,
-        report=None,
-        error=error,
-        error_stage=stage,
-    )

@@ -144,34 +144,6 @@ def encode_outcome(outcome: SatelliteOutcome) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def encode_spans(payloads: list[dict[str, Any]]) -> str:
-    """Serialize worker-side span payloads for the trip back to the
-    parent process.
-
-    Payloads are the lightweight dicts :func:`repro.exec.parallel.
-    run_chunk_traced` records (``name`` / ``start_offset_s`` /
-    ``elapsed_s`` / ``attrs``); the parent hands them to
-    :meth:`repro.obs.tracer.Tracer.adopt`.  Same strictness rules as
-    outcomes: canonical JSON out, structural validation on the way in.
-    """
-    return json.dumps(
-        {"version": CODEC_VERSION, "spans": payloads},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
-def decode_spans(text: str) -> list[dict[str, Any]]:
-    """Parse span payloads back; raises on any structural mismatch."""
-    payload = json.loads(text)
-    if not isinstance(payload, dict) or payload.get("version") != CODEC_VERSION:
-        raise ValueError(f"unsupported span payload version: {payload!r:.80}")
-    spans = payload["spans"]
-    if not isinstance(spans, list) or not all(isinstance(s, dict) for s in spans):
-        raise ValueError("span payload must be a list of objects")
-    return spans
-
-
 def decode_outcome(text: str) -> SatelliteOutcome:
     """Parse an outcome back; raises on any structural mismatch."""
     payload = json.loads(text)

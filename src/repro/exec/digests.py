@@ -7,9 +7,9 @@ the analysis config).  Both halves get a stable SHA-256 digest:
   set — any added, removed, or changed record changes the digest, which
   is exactly the "dirty satellite" signal incremental ingest needs;
 * :func:`config_digest` hashes the *analysis* fields of the config.
-  Execution-only knobs (``strict``, ``workers``, ``cache_stages``)
-  cannot change results and are excluded, so switching executors or
-  worker counts never invalidates the cache.
+  Execution-only knobs (``strict``, ``cache_stages``, ``trace``)
+  cannot change results and are excluded, so toggling them never
+  invalidates the cache.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ if TYPE_CHECKING:
 #: Config fields that select *how* the pipeline runs, not *what* it
 #: computes — excluded from the config digest.  ``trace`` belongs here:
 #: observability must never invalidate a cache.
-EXECUTION_FIELDS: frozenset[str] = frozenset(
-    {"strict", "workers", "cache_stages", "trace"}
-)
+EXECUTION_FIELDS: frozenset[str] = frozenset({"strict", "cache_stages", "trace"})
 
 
 def history_digest(elements: Iterable[MeanElements]) -> str:
@@ -62,7 +60,7 @@ def result_digest(result: "PipelineResult") -> str:
     :class:`~repro.core.pipeline.PipelineResult`.
 
     Two runs over the same inputs must share a digest regardless of
-    executor (serial vs pool) or cache temperature (cold vs warm) —
+    cache temperature (cold vs warm), tracing, or streaming chunking —
     the seed-determinism property the parity suite pins.  Execution
     bookkeeping (stage timings, cache hit/miss counts, metrics) is
     deliberately excluded; the quarantine ledger text is included

@@ -7,16 +7,6 @@ attributes, and time themselves with ``time.perf_counter`` relative to
 the tracer's origin — so a trace is self-contained and never embeds
 absolute timestamps.
 
-Worker processes cannot share the parent's tracer.  Instead the
-traced chunk runner (:func:`repro.exec.parallel.run_chunk_traced`)
-records lightweight span *payloads* (plain dicts: name, offset,
-elapsed, attrs), ships them back through the exec codec, and the
-parent :meth:`Tracer.adopt`\\ s them under the currently open span.
-Worker offsets are relative to their chunk's start, so adopted spans
-are placed approximately (correct nesting and durations, approximate
-absolute position) — exactly what an operator needs to see why a fleet
-run was slow.
-
 :data:`NULL_TRACER` is the disabled stand-in: ``span()`` hands back a
 shared no-op context manager, nothing is recorded, nothing is written.
 The pipeline always talks to a tracer, so the enabled/disabled branch
@@ -118,9 +108,6 @@ class NullTracer:
     def span(self, name: str, **attrs: Any) -> _NullSpanHandle:
         return _NULL_HANDLE
 
-    def adopt(self, payloads: list[dict[str, Any]]) -> None:
-        pass
-
     @property
     def spans(self) -> tuple[Span, ...]:
         return ()
@@ -166,27 +153,6 @@ class Tracer:
             self._stack.pop()
         if self._stack:
             self._stack.pop()
-
-    def adopt(self, payloads: list[dict[str, Any]]) -> None:
-        """Attach pre-timed spans recorded in a worker process.
-
-        Each payload is ``{"name", "start_offset_s", "elapsed_s",
-        "attrs"}``; spans are parented under the currently open span
-        and placed at its start plus the worker-relative offset.
-        """
-        parent = self._stack[-1] if self._stack else None
-        base = parent.start_s if parent is not None else 0.0
-        for payload in payloads:
-            span = Span(
-                name=str(payload.get("name", "span")),
-                span_id=self._next_id,
-                parent_id=parent.span_id if parent is not None else None,
-                start_s=base + float(payload.get("start_offset_s", 0.0)),
-                elapsed_s=float(payload.get("elapsed_s", 0.0)),
-                attrs=dict(payload.get("attrs", {})),
-            )
-            self._next_id += 1
-            self._spans.append(span)
 
     # --- inspection --------------------------------------------------------
     @property

@@ -19,10 +19,9 @@ suite injects :class:`~repro.robustness.faults.FaultPlan` failures
 mid-request and asserts exactly that).
 
 Every ``refresh`` routes through the session monitor's
-:class:`~repro.stream.planner.DeltaPlanner` and the pipeline's
-:class:`~repro.exec.Executor`, so a warm refresh keeps the streaming
-profile — one recompute for the dirty satellite, memo hits for the
-rest — and returns a ``result_digest`` byte-identical to
+:class:`~repro.stream.planner.DeltaPlanner` and the pipeline's fleet
+stage, so a warm refresh keeps the streaming profile — one recompute
+for the dirty satellite, memo hits for the rest — and returns a ``result_digest`` byte-identical to
 :func:`repro.analyze` over the same data.
 
 Metering (always on, via a dedicated service
@@ -46,6 +45,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.broker import RequestBroker
 from repro.serve.protocol import ServeRequest, ServeResponse
 from repro.serve.session import ServeSession, SessionManager
+from repro.spaceweather.storms import episode_row
 from repro.stream.chunks import FeedChunk
 from repro.stream.monitor import StreamUpdate
 
@@ -53,20 +53,6 @@ if TYPE_CHECKING:
     from repro.io.store import DataStore
 
 __all__ = ["AnalysisService"]
-
-
-def _episode_row(episode) -> dict[str, Any]:
-    from repro.spaceweather.scales import g_scale_for_level
-
-    scale = g_scale_for_level(episode.level)
-    return {
-        "start": episode.start.isoformat(),
-        "end": episode.end.isoformat(),
-        "peak_nt": episode.peak_nt,
-        "duration_hours": episode.duration_hours,
-        "level": episode.level.name,
-        "g_scale": scale.name if scale is not None else None,
-    }
 
 
 def _update_row(update: StreamUpdate) -> dict[str, Any]:
@@ -362,8 +348,8 @@ class AnalysisService:
             )
         return {
             "source": source,
-            "episodes": [_episode_row(episode) for episode in episodes],
-            "open": _episode_row(open_episode) if open_episode else None,
+            "episodes": [episode_row(episode) for episode in episodes],
+            "open": episode_row(open_episode) if open_episode else None,
         }
 
     def _op_query_alerts(

@@ -10,12 +10,17 @@ so merging defaults to off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.errors import SpaceWeatherError
 from repro.spaceweather.dst import HOUR_S, DstIndex
-from repro.spaceweather.scales import StormLevel, classify_dst
+from repro.spaceweather.scales import (
+    StormLevel,
+    classify_dst,
+    g_scale_for_level,
+)
 from repro.time import Epoch
 
 
@@ -45,6 +50,20 @@ class StormEpisode:
     def contains(self, when: Epoch) -> bool:
         """Whether *when* falls inside the episode."""
         return self.start <= when < self.end
+
+
+def episode_row(episode: StormEpisode) -> dict[str, Any]:
+    """One episode as a JSON-ready row — the shape shared by the CLI's
+    ``--json`` output and the service's ``query-episodes`` op."""
+    scale = g_scale_for_level(episode.level)
+    return {
+        "start": episode.start.isoformat(),
+        "end": episode.end.isoformat(),
+        "peak_nt": episode.peak_nt,
+        "duration_hours": episode.duration_hours,
+        "level": episode.level.name,
+        "g_scale": scale.name if scale is not None else None,
+    }
 
 
 def detect_episodes(

@@ -39,7 +39,7 @@ from repro.stream.ingestor import IngestDelta, StreamIngestor, Watermarks
 from repro.stream.planner import DeltaPlanner, ReplanPlan
 
 if TYPE_CHECKING:
-    from repro.exec import Executor, StageMemo
+    from repro.exec import StageMemo
     from repro.io.store import DataStore
     from repro.obs.tracer import NullTracer, Tracer
 
@@ -82,7 +82,6 @@ class StreamMonitor:
         self,
         config: CosmicDanceConfig | None = None,
         *,
-        executor: "Executor | None" = None,
         memo: "StageMemo | None" = None,
         tracer: "Tracer | NullTracer | None" = None,
         store: "DataStore | None" = None,
@@ -97,7 +96,6 @@ class StreamMonitor:
         self.planner = DeltaPlanner()
         self.pipeline = CosmicDance(
             self.config,
-            executor=executor,
             memo=memo,
             tracer=tracer,
             task_factory=self.planner.task_for,

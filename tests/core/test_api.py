@@ -9,7 +9,7 @@ import pytest
 import repro
 from repro import CosmicDance, CosmicDanceConfig, analyze
 from repro.errors import PipelineError
-from repro.exec import SerialExecutor
+from repro.exec import StageMemo
 from repro.io.csvio import write_dst_csv
 from repro.simulation.scenario import quickstart_scenario
 from repro.tle.format import format_tle
@@ -51,16 +51,17 @@ class TestAnalyzeFacade:
         result = analyze(noisy_dst(), list(steady_history(catalog=3, days=40)))
         assert set(result.decay_assessments) == {3}
 
-    def test_config_and_executor_pass_through(self):
-        executor = SerialExecutor()
+    def test_config_and_memo_pass_through(self):
+        memo = StageMemo()
         scenario = quickstart_scenario(seed=2)
         result = analyze(
             scenario.dst,
             scenario.catalog,
             config=CosmicDanceConfig(event_percentile=99.5),
-            executor=executor,
+            memo=memo,
         )
         assert result.config.event_percentile == 99.5
+        assert len(memo) == len(scenario.catalog)
 
     def test_rejects_unknown_dst_type(self):
         with pytest.raises(PipelineError):

@@ -9,11 +9,12 @@ from repro.core import (
     detect_decay_onsets,
     detect_drag_spikes,
 )
+from repro.core.cleaning import CleanedHistory, CleaningReport
 from repro.core.relations import TrajectoryEventKind
 from repro.spaceweather.storms import StormEpisode
 from repro.time import Epoch
 
-from tests.core.helpers import START, history_from_profile
+from tests.core.helpers import START, history_from_profile, record
 
 
 def episode(day: float, duration_hours: int = 6, peak: float = -120.0) -> StormEpisode:
@@ -63,6 +64,23 @@ class TestDragSpikes:
             bstars[d] = 6e-4
         cleaned = clean_history(history_from_profile(1, profile, bstars=bstars))
         assert len(detect_drag_spikes(cleaned)) == 2
+
+    def test_non_positive_baseline_ends_the_excursion(self):
+        # Days 43-44 sit alone in their trailing window with a median
+        # B* <= 0: no ratio is defined there, so the day-3 excursion
+        # ends and the day-45 spike (ratio 10) is a separate event.
+        days = [0, 1, 2, 3, 43, 44, 45]
+        bstars = [1e-4, 1e-4, 1e-4, 5e-4, -1e-4, 1e-4, 1e-3]
+        elements = tuple(
+            record(1, float(day), 550.0, bstar=bstar)
+            for day, bstar in zip(days, bstars)
+        )
+        cleaned = CleanedHistory(1, elements, None, CleaningReport(7, 0, 0, 7))
+        events = detect_drag_spikes(cleaned)
+        assert [e.epoch.days_since(START) for e in events] == pytest.approx(
+            [3.0, 45.0]
+        )
+        assert events[1].magnitude == pytest.approx(10.0)
 
 
 class TestDecayOnsets:

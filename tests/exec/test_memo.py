@@ -42,10 +42,10 @@ class TestConfigDigest:
         )
 
     def test_execution_fields_do_not(self):
-        # Switching executors or toggling strictness must not invalidate
-        # cached outcomes — they cannot change what a satellite computes.
+        # Toggling tracing or strictness must not invalidate cached
+        # outcomes — they cannot change what a satellite computes.
         base = config_digest(CosmicDanceConfig())
-        assert base == config_digest(CosmicDanceConfig(workers=8))
+        assert base == config_digest(CosmicDanceConfig(trace=True))
         assert base == config_digest(CosmicDanceConfig(strict=True))
         assert base == config_digest(CosmicDanceConfig(cache_stages=False))
 

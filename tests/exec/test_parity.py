@@ -1,20 +1,21 @@
-"""Serial/parallel parity and incremental-rerun cache behaviour.
+"""Seed determinism and incremental-rerun cache behaviour.
 
-The acceptance bar for the execution subsystem: a parallel run is
-bit-identical to a serial one on a seeded scenario, and a re-run after
-incremental ingest only recomputes the satellites whose records changed.
+The acceptance bar for the fleet stage: a seeded run lands on the same
+``result_digest`` however it executes (cold or warm cache, traced or
+not), and a re-run after incremental ingest only recomputes the
+satellites whose records changed.
 """
 
 from repro import CosmicDance, CosmicDanceConfig, analyze
-from repro.exec import ParallelExecutor, SerialExecutor, StageMemo, result_digest
+from repro.exec import StageMemo, result_digest
 from repro.simulation.scenario import quickstart_scenario
 
 from tests.core.helpers import record, steady_history
 
 
-def seeded_pipeline(config=None, executor=None):
+def seeded_pipeline(config=None):
     scenario = quickstart_scenario(seed=2)
-    cd = CosmicDance(config, executor=executor)
+    cd = CosmicDance(config)
     cd.ingest.add_dst(scenario.dst)
     cd.ingest.add_elements(scenario.catalog.all_elements())
     return cd
@@ -23,25 +24,6 @@ def seeded_pipeline(config=None, executor=None):
 def seeded_analysis(seed=2, **kwargs):
     scenario = quickstart_scenario(seed=seed)
     return analyze(scenario.dst, scenario.catalog, **kwargs)
-
-
-class TestParity:
-    def test_parallel_matches_serial_on_seeded_scenario(self):
-        serial = seeded_pipeline(executor=SerialExecutor()).run()
-        parallel = seeded_pipeline(executor=ParallelExecutor(4)).run()
-        assert parallel.storm_episodes == serial.storm_episodes
-        assert parallel.trajectory_events == serial.trajectory_events
-        assert parallel.associations == serial.associations
-        assert parallel.decay_assessments == serial.decay_assessments
-        assert parallel.cleaning_report == serial.cleaning_report
-        assert parallel.health.ledger_text() == serial.health.ledger_text()
-
-    def test_workers_config_selects_parallel(self):
-        cd = seeded_pipeline(CosmicDanceConfig(workers=2))
-        assert cd.executor.name == "parallel"
-        serial = seeded_pipeline().run()
-        parallel = cd.run()
-        assert parallel.trajectory_events == serial.trajectory_events
 
 
 class TestIncrementalRerun:
@@ -100,7 +82,7 @@ class TestSeedDeterminism:
 
     The digest covers every scientific output plus the quarantine
     ledger, and deliberately excludes wall-clock timings and cache
-    hit/miss counts — so serial vs parallel and cold vs warm cache must
+    hit/miss counts — so cold vs warm cache and traced vs untraced must
     all land on the same bytes.
     """
 
@@ -112,11 +94,6 @@ class TestSeedDeterminism:
             seeded_analysis(seed=3)
         )
 
-    def test_serial_vs_two_worker_parallel(self):
-        serial = seeded_analysis(executor=SerialExecutor())
-        parallel = seeded_analysis(executor=ParallelExecutor(2))
-        assert result_digest(serial) == result_digest(parallel)
-
     def test_cold_vs_warm_cache(self):
         memo = StageMemo()
         cold = seeded_analysis(memo=memo)
@@ -126,7 +103,5 @@ class TestSeedDeterminism:
 
     def test_traced_run_digest_unchanged(self):
         plain = seeded_analysis()
-        traced = seeded_analysis(
-            config=CosmicDanceConfig(trace=True), executor=ParallelExecutor(2)
-        )
+        traced = seeded_analysis(config=CosmicDanceConfig(trace=True))
         assert result_digest(plain) == result_digest(traced)

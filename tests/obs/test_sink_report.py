@@ -21,7 +21,7 @@ def traced_run():
     """A small but representative trace: run → stage → satellites."""
     tracer = Tracer()
     metrics = MetricsRegistry()
-    with tracer.span("run", executor="serial"):
+    with tracer.span("run", satellites=2):
         with tracer.span("stage:fleet") as fleet:
             for number in (1, 2):
                 with tracer.span("satellite") as span:

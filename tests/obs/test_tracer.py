@@ -55,25 +55,6 @@ class TestTracer:
             pass
         assert tracer.spans[2].parent_id is None
 
-    def test_adopt_parents_under_open_span(self):
-        tracer = Tracer()
-        with tracer.span("stage:fleet"):
-            tracer.adopt(
-                [
-                    {
-                        "name": "satellite",
-                        "start_offset_s": 0.5,
-                        "elapsed_s": 0.25,
-                        "attrs": {"catalog_number": 1, "cache": "miss"},
-                    }
-                ]
-            )
-        fleet, adopted = tracer.spans
-        assert adopted.parent_id == fleet.span_id
-        assert adopted.start_s == pytest.approx(fleet.start_s + 0.5)
-        assert adopted.elapsed_s == pytest.approx(0.25)
-        assert adopted.attrs == {"catalog_number": 1, "cache": "miss"}
-
     def test_find_and_events(self):
         tracer = Tracer()
         with tracer.span("run"):
@@ -93,7 +74,6 @@ class TestNullTracer:
         assert NULL_TRACER.enabled is False
         with NULL_TRACER.span("run", anything=1) as handle:
             handle.set(more=2)
-        NULL_TRACER.adopt([{"name": "x"}])
         assert NULL_TRACER.spans == ()
         assert list(NULL_TRACER.events()) == []
 

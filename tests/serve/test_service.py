@@ -212,6 +212,21 @@ class TestQueries:
         late = service.call(service.request("query-episodes", source="analysis"))
         assert late.ok
 
+    def test_episode_rows_match_the_cli(self, service, dst_text, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        assert service.call(service.request("refresh")).ok
+        served = service.call(service.request("query-episodes", source="analysis"))
+        path = tmp_path / "dst.csv"
+        path.write_text(dst_text)
+        capsys.readouterr()
+        assert main(["storms", "--dst", str(path), "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert served.result["episodes"]
+        assert printed["episodes"] == served.result["episodes"]
+
     def test_bad_episode_source_rejected(self, service):
         response = service.call(
             service.request("query-episodes", source="psychic")

@@ -2,14 +2,13 @@
 
 Replaying the seeded fleet through ``repro.stream`` in hourly chunks
 must land on a ``result_digest`` byte-identical to the one-shot batch
-run — serially and on a 2-worker pool.  Chunking changes cost, never
-results.
+run.  Chunking changes cost, never results.
 """
 
 import pytest
 
 from repro import analyze
-from repro.exec import ParallelExecutor, result_digest
+from repro.exec import result_digest
 from repro.stream import StreamMonitor, split_feed
 
 
@@ -18,8 +17,8 @@ def batch_digest(scenario):
     return result_digest(analyze(scenario.dst, scenario.catalog))
 
 
-def replay_digest(scenario, *, chunk_hours, executor=None, run_every=None):
-    monitor = StreamMonitor(executor=executor, run_every=run_every)
+def replay_digest(scenario, *, chunk_hours, run_every=None):
+    monitor = StreamMonitor(run_every=run_every)
     updates = monitor.replay(
         split_feed(scenario.dst, scenario.catalog, chunk_hours=chunk_hours)
     )
@@ -30,12 +29,6 @@ def replay_digest(scenario, *, chunk_hours, executor=None, run_every=None):
 class TestReplayParity:
     def test_hourly_serial_replay_matches_batch(self, scenario, batch_digest):
         assert replay_digest(scenario, chunk_hours=1.0) == batch_digest
-
-    def test_hourly_two_worker_replay_matches_batch(self, scenario, batch_digest):
-        digest = replay_digest(
-            scenario, chunk_hours=1.0, executor=ParallelExecutor(2)
-        )
-        assert digest == batch_digest
 
     def test_mid_feed_refreshes_do_not_disturb_parity(self, scenario, batch_digest):
         # Daily chunks with periodic refreshes: intermediate runs over

@@ -114,23 +114,17 @@ class TestAnalyzeCommand:
 
 
 class TestExecutionFlags:
-    def test_analyze_with_workers(self, cache, capsys):
-        assert main(["analyze", "--cache", str(cache), "--workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "Storm episodes" in out
-        assert "44800" in out
+    def test_analyze_with_workers(self, cache, monkeypatch, capsys):
+        import io
 
-    def test_workers_output_matches_serial(self, cache, capsys):
-        assert main(["analyze", "--cache", str(cache), "--no-stage-cache"]) == 0
-        serial_out = capsys.readouterr().out
-        assert (
-            main(
-                ["analyze", "--cache", str(cache), "--no-stage-cache",
-                 "--workers", "2"]
-            )
-            == 0
-        )
-        assert capsys.readouterr().out == serial_out
+        # The fleet stage has no process pool: --workers is a usage
+        # error on the analysis commands, while serve keeps it as its
+        # request-thread count.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--cache", str(cache), "--workers", "2"])
+        assert excinfo.value.code == 2
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main(["serve", "--workers", "2"]) == 0
 
     def test_stage_cache_persists_between_invocations(self, cache, capsys):
         assert main(["analyze", "--cache", str(cache)]) == 0
