@@ -2,17 +2,10 @@
 
 The execution environment lacks the `wheel` package, which PEP 660
 editable installs require; this shim lets `pip install -e .` use the
-legacy `setup.py develop` path instead.  All metadata lives in
-pyproject.toml.
+legacy `setup.py develop` path instead.  All metadata, the version
+included, lives in pyproject.toml.
 """
 
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
-)
+setup()

@@ -34,7 +34,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.core.analysis import (
     AltitudeChangeSample,
@@ -64,15 +64,7 @@ from repro.core.relations import (
 )
 from repro.core.windows import AltitudeChangeCurves, post_event_curves
 from repro.errors import PipelineError
-from repro.exec import (
-    SATELLITE_SPAN,
-    SatelliteOutcome,
-    SatelliteTask,
-    StageMemo,
-    config_digest,
-    history_digest,
-    outcome_span_attrs,
-)
+from repro.exec import SATELLITE_SPAN, SatelliteOutcome, StageMemo, config_digest
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, NullMetrics
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.robustness.health import QuarantineLedger, RunHealth, StageHealth
@@ -96,7 +88,6 @@ __all__ = [
     "CosmicDance",
     "PipelineResult",
     "process_satellite",
-    "satellite_task",
 ]
 
 
@@ -132,20 +123,10 @@ class PipelineResult:
         ]
 
 
-def satellite_task(history: SatelliteHistory) -> SatelliteTask:
-    """Package one satellite history as a fleet-stage work unit."""
-    elements = tuple(history)
-    return SatelliteTask(
-        catalog_number=history.catalog_number,
-        elements=elements,
-        digest=history_digest(elements),
-    )
-
-
 def process_satellite(
-    task: SatelliteTask, config: CosmicDanceConfig, *, capture: bool = True
+    history: SatelliteHistory, config: CosmicDanceConfig, *, capture: bool = True
 ) -> SatelliteOutcome:
-    """The per-satellite work unit: clean → detect → assess.
+    """The per-satellite stage over one live history: clean → detect → assess.
 
     :meth:`CosmicDance.run` looks this name up in the module globals at
     call time, and detection/assessment go through this module's
@@ -156,19 +137,17 @@ def process_satellite(
     fields (the pipeline quarantines the satellite); ``capture=False``
     lets it propagate — strict mode's fail-fast.
     """
+    number = history.catalog_number
     stage = "clean"
     report: CleaningReport | None = None
     try:
-        history = SatelliteHistory(task.catalog_number)
-        for element in task.elements:
-            history.add(element)
         cleaned = clean_history(history, config)
         report = cleaned.report
         if not len(cleaned):
             # Every record filtered out: a valid (cacheable) outcome,
             # matching clean_catalog's silent drop of empty histories.
             return SatelliteOutcome(
-                catalog_number=task.catalog_number,
+                catalog_number=number,
                 cleaned=None,
                 events=(),
                 assessment=None,
@@ -183,9 +162,9 @@ def process_satellite(
         if not capture:
             raise
         if report is None:
-            report = CleaningReport(len(task.elements), 0, 0, 0)
+            report = CleaningReport(len(history), 0, 0, 0)
         return SatelliteOutcome(
-            catalog_number=task.catalog_number,
+            catalog_number=number,
             cleaned=None,
             events=(),
             assessment=None,
@@ -194,7 +173,7 @@ def process_satellite(
             error_stage=stage,
         )
     return SatelliteOutcome(
-        catalog_number=task.catalog_number,
+        catalog_number=number,
         cleaned=cleaned,
         events=tuple(events),
         assessment=assessment,
@@ -211,9 +190,7 @@ class CosmicDance:
     ``tracer`` overrides the one implied by ``config.trace`` (pass a
     live :class:`~repro.obs.Tracer` to capture spans across several
     runs, or rely on the flag — off means the null tracer and zero
-    observability overhead); ``task_factory`` overrides how histories
-    become fleet-stage work units (:func:`satellite_task` by default —
-    the streaming planner plugs in a digest-caching factory here).
+    observability overhead).
     """
 
     def __init__(
@@ -222,11 +199,9 @@ class CosmicDance:
         *,
         memo: StageMemo | None = None,
         tracer: "Tracer | NullTracer | None" = None,
-        task_factory: "Callable[[SatelliteHistory], SatelliteTask] | None" = None,
     ) -> None:
         self.config = config or CosmicDanceConfig()
         self.ingest = IngestState()
-        self._task_factory = task_factory or satellite_task
         if memo is not None:
             self.memo: StageMemo | None = memo
         else:
@@ -282,76 +257,80 @@ class CosmicDance:
             # Sorted by catalog number so results (event order, digests)
             # are independent of ingestion order — chunked/streaming
             # ingest must land on the same bytes as a one-shot batch.
-            tasks = [
-                self._task_factory(catalog.get(number))
-                for number in catalog.catalog_numbers
-            ]
+            histories = [catalog.get(number) for number in catalog.catalog_numbers]
             cfg_digest = config_digest(self.config)
-            cached: dict[int, SatelliteOutcome] = {}
-            dirty: list[SatelliteTask] = []
+            outcomes: dict[int, SatelliteOutcome] = {}
+            dirty: list[SatelliteHistory] = []
             if self.memo is not None:
-                for task in tasks:
-                    hit = self.memo.get(task.digest, cfg_digest)
-                    if hit is not None:
-                        cached[task.catalog_number] = hit
-                        # An instantaneous marker span: the stage never
-                        # runs for a hit, and the memo lookup just
-                        # happened.
-                        with self.tracer.span(
-                            SATELLITE_SPAN,
-                            catalog_number=task.catalog_number,
-                            records=task.record_count,
-                            cache="hit",
-                        ):
-                            pass
-                    else:
-                        dirty.append(task)
-                cache_hits, cache_misses = len(cached), len(dirty)
+                for history in histories:
+                    hit = self.memo.get(history.digest, cfg_digest)
+                    if hit is None:
+                        dirty.append(history)
+                        continue
+                    outcomes[history.catalog_number] = hit
+                    # An instantaneous marker span: the stage never runs
+                    # for a hit, and the memo lookup just happened.
+                    with self.tracer.span(
+                        SATELLITE_SPAN,
+                        catalog_number=history.catalog_number,
+                        records=len(history),
+                        cache="hit",
+                    ):
+                        pass
+                cache_hits, cache_misses = len(outcomes), len(dirty)
             else:
-                dirty = list(tasks)
+                dirty = histories
                 cache_hits = cache_misses = 0
             # process_satellite is resolved from the module globals on
             # every call, so anything that rebinds it (fault injection,
             # profiling wrappers) takes effect.
             capture = not self.config.strict
-            computed: dict[int, SatelliteOutcome] = {}
-            for task in dirty:
-                with self.tracer.span(SATELLITE_SPAN) as span:
-                    outcome = process_satellite(task, self.config, capture=capture)
-                    span.set(**outcome_span_attrs(task, outcome))
-                computed[task.catalog_number] = outcome
+            for history in dirty:
+                with self.tracer.span(
+                    SATELLITE_SPAN,
+                    catalog_number=history.catalog_number,
+                    records=len(history),
+                    cache="miss",
+                ) as span:
+                    outcome = process_satellite(history, self.config, capture=capture)
+                    if outcome.error is not None:
+                        span.set(
+                            quarantined=True,
+                            error_stage=outcome.error_stage,
+                            reason=outcome.error,
+                        )
+                if self.memo is not None:
+                    self.memo.put(history.digest, cfg_digest, outcome)
+                outcomes[history.catalog_number] = outcome
 
             events: list[TrajectoryEvent] = []
             assessments: dict[int, DecayAssessment] = {}
             cleaned: dict[int, CleanedHistory] = {}
             report = CleaningReport(0, 0, 0, 0)
             quarantined = 0
-            for task in tasks:
-                outcome = cached.get(task.catalog_number) or computed[task.catalog_number]
+            # Catalog order again: memo hits and recomputes interleave.
+            for number in sorted(outcomes):
+                outcome = outcomes[number]
                 if outcome.report is not None:
                     report = report + outcome.report
                 if outcome.error is not None:
                     quarantined += 1
                     run_ledger.quarantine_satellite(
-                        task.catalog_number,
-                        outcome.error_stage or "detect",
-                        outcome.error,
+                        number, outcome.error_stage or "detect", outcome.error
                     )
                     logger.warning(
                         "quarantined satellite %d in %s: %s",
-                        task.catalog_number, outcome.error_stage, outcome.error,
+                        number, outcome.error_stage, outcome.error,
                     )
                     continue
-                if self.memo is not None and not outcome.from_cache:
-                    self.memo.put(task.digest, cfg_digest, outcome)
                 if outcome.cleaned is None:
                     continue
-                cleaned[task.catalog_number] = outcome.cleaned
+                cleaned[number] = outcome.cleaned
                 events.extend(outcome.events)
-                assessments[task.catalog_number] = outcome.assessment
+                assessments[number] = outcome.assessment
             fleet_elapsed = time.perf_counter() - fleet_started
             fleet_span.set(
-                attempted=len(tasks),
+                attempted=len(histories),
                 quarantined=quarantined,
                 cache_hits=cache_hits,
                 cache_misses=cache_misses,
@@ -364,7 +343,7 @@ class CosmicDance:
         if quarantined:
             logger.warning(
                 "fleet stage quarantined %d/%d satellite(s)",
-                quarantined, len(tasks),
+                quarantined, len(histories),
             )
         if cache_hits:
             logger.info(
@@ -396,7 +375,7 @@ class CosmicDance:
             len(events), len(associations),
         )
         metrics = self.metrics
-        metrics.counter("fleet.satellites").inc(len(tasks))
+        metrics.counter("fleet.satellites").inc(len(histories))
         metrics.counter("fleet.quarantined").inc(quarantined)
         metrics.counter("fleet.cache_hits").inc(cache_hits)
         metrics.counter("fleet.cache_misses").inc(cache_misses)
@@ -417,8 +396,8 @@ class CosmicDance:
             stages=(
                 StageHealth(
                     stage="fleet",
-                    attempted=len(tasks),
-                    succeeded=len(tasks) - quarantined,
+                    attempted=len(histories),
+                    succeeded=len(histories) - quarantined,
                     quarantined=quarantined,
                     elapsed_s=fleet_elapsed,
                 ),
@@ -537,27 +516,22 @@ class CosmicDance:
         edges: tuple[float, ...] | None = None,
         step_minutes: float = 20.0,
         max_satellites: int | None = None,
-        **deprecated_kwargs,
     ) -> "BandExposure":
         """§6 extension: storm exposure by absolute-latitude band.
 
         Keyword-only: *edges* (absolute-latitude band boundaries [deg];
         default :data:`~repro.core.geography.DEFAULT_BAND_EDGES`),
         *step_minutes* (propagation sampling grid), *max_satellites*
-        (cost cap for large fleets).  The old opaque ``**kwargs``
-        pass-through is deprecated.
+        (cost cap for large fleets).
         """
         from repro.core.geography import DEFAULT_BAND_EDGES, storm_band_exposure
 
-        if deprecated_kwargs:
-            _warn_kwargs_passthrough("band_exposure", deprecated_kwargs)
         return storm_band_exposure(
             self.result.cleaned,
             self.result.storm_episodes,
             edges=edges if edges is not None else DEFAULT_BAND_EDGES,
             step_minutes=step_minutes,
             max_satellites=max_satellites,
-            **deprecated_kwargs,
         )
 
     def conjunctions(
@@ -565,25 +539,20 @@ class CosmicDance:
         *,
         shells: tuple["Shell", ...] | None = None,
         half_width_km: float = 2.5,
-        **deprecated_kwargs,
     ) -> "ConjunctionReport":
         """§6 extension: shell-trespass and conjunction-pressure report.
 
         Keyword-only: *shells* (the slot layout to test against;
         default :data:`~repro.orbits.shells.STARLINK_SHELLS`),
-        *half_width_km* (slot half-width).  The old opaque ``**kwargs``
-        pass-through is deprecated.
+        *half_width_km* (slot half-width).
         """
         from repro.core.conjunction import conjunction_report
         from repro.orbits.shells import STARLINK_SHELLS
 
-        if deprecated_kwargs:
-            _warn_kwargs_passthrough("conjunctions", deprecated_kwargs)
         return conjunction_report(
             self.result.cleaned,
             shells=shells if shells is not None else STARLINK_SHELLS,
             half_width_km=half_width_km,
-            **deprecated_kwargs,
         )
 
     def measurement_campaigns(
@@ -605,15 +574,3 @@ class CosmicDance:
         if threshold_nt is None:
             return list(self.result.storm_episodes)
         return detect_episodes(self.result.dst, threshold_nt)
-
-
-def _warn_kwargs_passthrough(method: str, kwargs: dict) -> None:
-    import warnings
-
-    warnings.warn(
-        f"CosmicDance.{method}() keyword pass-through for "
-        f"{sorted(kwargs)} is deprecated; use the named keyword-only "
-        f"parameters instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

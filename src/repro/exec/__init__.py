@@ -1,22 +1,18 @@
-"""``repro.exec`` — fleet-stage value types, digests and the stage cache.
+"""``repro.exec`` — fleet-stage outcomes, digests and the stage cache.
 
 The CosmicDance pipeline's per-satellite stage (clean → detect →
-assess) consumes :class:`SatelliteTask`\\ s and produces
-:class:`SatelliteOutcome`\\ s in one in-process loop.
+assess) consumes live :class:`~repro.tle.catalog.SatelliteHistory`\\ s
+and produces :class:`SatelliteOutcome`\\ s in one in-process loop.
 :class:`StageMemo` memoizes stage outcomes by (history digest, config
-digest) so a re-``run()`` after incremental ingest only recomputes
-dirty satellites.  See ``docs/EXECUTION.md`` for the determinism
-guarantees and cache-invalidation rules.
+digest) — each history owns and caches its digest — so a re-``run()``
+after incremental ingest only recomputes dirty satellites.  See
+``docs/EXECUTION.md`` for the determinism guarantees and
+cache-invalidation rules.
 """
 
 from __future__ import annotations
 
-from repro.exec.base import (
-    SATELLITE_SPAN,
-    SatelliteOutcome,
-    SatelliteTask,
-    outcome_span_attrs,
-)
+from repro.exec.base import SATELLITE_SPAN, SatelliteOutcome
 from repro.exec.digests import (
     EXECUTION_FIELDS,
     cache_key,
@@ -30,11 +26,9 @@ __all__ = [
     "EXECUTION_FIELDS",
     "SATELLITE_SPAN",
     "SatelliteOutcome",
-    "SatelliteTask",
     "StageMemo",
     "cache_key",
     "config_digest",
     "history_digest",
-    "outcome_span_attrs",
     "result_digest",
 ]

@@ -1,9 +1,10 @@
-"""Execution-layer value types: the fleet stage's tasks and outcomes.
+"""Execution-layer value type: the fleet stage's per-satellite outcome.
 
 The fleet stage of the pipeline (clean → detect → assess, once per
 satellite) treats each satellite in isolation: satellites share no
-state until the association step.  This module defines the unit of
-work (:class:`SatelliteTask`) and the unit of result
+state until the association step.  Its unit of work is the live
+:class:`~repro.tle.catalog.SatelliteHistory`, which owns its content
+digest; this module defines the unit of result
 (:class:`SatelliteOutcome`).  Outcomes carry failures as *strings*,
 never live exception objects, so they can be cached and compared.
 """
@@ -11,34 +12,12 @@ never live exception objects, so they can be cached and compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.core.cleaning import CleanedHistory, CleaningReport
     from repro.core.decay import DecayAssessment
     from repro.core.relations import TrajectoryEvent
-    from repro.tle.elements import MeanElements
-
-
-@dataclass(frozen=True, slots=True)
-class SatelliteTask:
-    """One satellite's raw history, packaged for the fleet stage.
-
-    ``digest`` is the stable content hash of the element sets (see
-    :func:`repro.exec.digests.history_digest`); together with the config
-    digest it keys the stage-memoization cache.
-    """
-
-    catalog_number: int
-    #: Epoch-ordered raw element sets (pre-cleaning).
-    elements: tuple["MeanElements", ...]
-    #: Content digest of *elements* (memoization key half).
-    digest: str
-
-    @property
-    def record_count(self) -> int:
-        """Raw record count (the ``records`` span attribute)."""
-        return len(self.elements)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,8 +45,6 @@ class SatelliteOutcome:
     error: str | None = None
     #: Which sub-stage failed (``clean``/``detect``/``assess``).
     error_stage: str | None = None
-    #: True when this outcome was served from the stage cache.
-    from_cache: bool = False
 
     @property
     def ok(self) -> bool:
@@ -76,25 +53,3 @@ class SatelliteOutcome:
 
 #: Span name for one per-satellite stage unit.
 SATELLITE_SPAN = "satellite"
-
-
-def outcome_span_attrs(
-    task: SatelliteTask, outcome: SatelliteOutcome
-) -> dict[str, Any]:
-    """The canonical span attributes for one executed satellite.
-
-    Catalog number, record count, ``cache="miss"`` (cache hits never
-    run the stage; the pipeline spans those with ``cache="hit"``), and
-    — on failure — the quarantine stage and reason.
-    """
-    attrs: dict[str, Any] = {
-        "catalog_number": task.catalog_number,
-        "records": task.record_count,
-        "cache": "miss",
-    }
-    if outcome.error is not None:
-        attrs["quarantined"] = True
-        attrs["error_stage"] = outcome.error_stage
-        attrs["reason"] = outcome.error
-    return attrs
-

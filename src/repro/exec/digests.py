@@ -3,9 +3,11 @@
 A satellite's stage output is a pure function of (its raw element sets,
 the analysis config).  Both halves get a stable SHA-256 digest:
 
-* :func:`history_digest` hashes the canonical ``repr`` of every element
+* :func:`history_digest` hashes the raw field values of every element
   set — any added, removed, or changed record changes the digest, which
-  is exactly the "dirty satellite" signal incremental ingest needs;
+  is exactly the "dirty satellite" signal incremental ingest needs.  It
+  lives with :class:`~repro.tle.catalog.SatelliteHistory`, which caches
+  it as ``history.digest``, and is re-exported here;
 * :func:`config_digest` hashes the *analysis* fields of the config.
   Execution-only knobs (``strict``, ``cache_stages``, ``trace``)
   cannot change results and are excluded, so toggling them never
@@ -16,10 +18,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import fields
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.core.config import CosmicDanceConfig
-from repro.tle.elements import MeanElements
+from repro.tle.catalog import history_digest  # noqa: F401  (re-exported)
 
 if TYPE_CHECKING:
     from repro.core.pipeline import PipelineResult
@@ -28,21 +30,6 @@ if TYPE_CHECKING:
 #: computes — excluded from the config digest.  ``trace`` belongs here:
 #: observability must never invalidate a cache.
 EXECUTION_FIELDS: frozenset[str] = frozenset({"strict", "cache_stages", "trace"})
-
-
-def history_digest(elements: Iterable[MeanElements]) -> str:
-    """SHA-256 over the canonical text of an element-set sequence.
-
-    ``repr`` of the frozen :class:`MeanElements` dataclass is
-    deterministic and round-trips floats exactly, so two histories with
-    identical records always share a digest and any record-level change
-    breaks it.
-    """
-    digest = hashlib.sha256()
-    for element in elements:
-        digest.update(repr(element).encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
 
 
 def config_digest(config: CosmicDanceConfig) -> str:

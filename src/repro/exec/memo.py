@@ -24,7 +24,6 @@ quarantined through the store's ledger, never raised.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.exec.base import SatelliteOutcome
@@ -60,11 +59,7 @@ class StageMemo:
     def get(
         self, history_digest: str, config_digest: str
     ) -> SatelliteOutcome | None:
-        """The cached outcome for a digest pair, or None (a miss).
-
-        Hits are returned with ``from_cache=True`` so health accounting
-        can tell them from fresh computes.
-        """
+        """The cached outcome for a digest pair, or None (a miss)."""
         key = (history_digest, config_digest)
         outcome = self._memory.get(key)
         if outcome is None and self.store is not None:
@@ -79,7 +74,7 @@ class StageMemo:
         self.hits += 1
         if self.metrics is not None:
             self.metrics.counter("memo.hits").inc()
-        return replace(outcome, from_cache=True)
+        return outcome
 
     def peek(self, history_digest: str, config_digest: str) -> bool:
         """Whether an outcome is cached for the pair — a pure membership
@@ -100,7 +95,6 @@ class StageMemo:
         if not outcome.ok:
             return
         key = (history_digest, config_digest)
-        outcome = replace(outcome, from_cache=False)
         self._memory[key] = outcome
         if self.metrics is not None:
             self.metrics.counter("memo.puts").inc()

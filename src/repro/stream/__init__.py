@@ -12,8 +12,8 @@ operational shape CosmicDancePro-style continuous measurement needs):
 * :class:`OnlineStormDetector` — open-episode state across chunks,
   parity-equal to :func:`~repro.spaceweather.storms.detect_episodes`;
 * :class:`DeltaPlanner` — maps ingest deltas to the minimal dirty
-  (satellite, stage) set and feeds digest-cached tasks to the
-  pipeline, so warm-path cost scales with the delta;
+  (satellite, stage) set; with each history caching its own digest,
+  warm-path cost scales with the delta;
 * :class:`AlertEngine` — typed, deduplicated alert events journaled to
   the DataStore and metered through ``repro.obs``;
 * :class:`StreamMonitor` — the composition, driven by the ``watch``

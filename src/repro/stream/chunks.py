@@ -16,10 +16,9 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.errors import StreamError
-from repro.exec.digests import history_digest
 from repro.spaceweather.dst import HOUR_S, DstIndex
 from repro.time import Epoch
-from repro.tle.catalog import SatelliteCatalog
+from repro.tle.catalog import SatelliteCatalog, history_digest
 from repro.tle.elements import MeanElements
 
 __all__ = ["FeedChunk", "split_feed"]

@@ -1,8 +1,8 @@
 """Incremental ingest: arbitrary-order chunks into the pipeline buffers.
 
 The :class:`StreamIngestor` is the streaming front half of
-:class:`~repro.core.ingest.IngestState`: it accepts Dst blocks and TLE
-batches (parsed or raw text) in whatever order they arrive, feeds them
+:class:`~repro.core.ingest.IngestState`: it accepts Dst blocks and
+parsed TLE batches in whatever order they arrive, feeds them
 into the *existing* ingest buffers (the catalog dedups element sets by
 (NORAD id, epoch); Dst blocks splice into one hourly series), and
 reports back an :class:`IngestDelta` describing exactly what changed —
@@ -167,38 +167,6 @@ class StreamIngestor:
             kind="tle",
             late=late,
             new_records=sum(by_satellite.values()),
-            records_by_satellite=tuple(sorted(by_satellite.items())),
-        )
-
-    def offer_tle_text(
-        self, text: str, *, chunk_id: str | None = None, source: str | None = None
-    ) -> IngestDelta:
-        """Ingest a raw TLE dump (2LE or 3LE); malformed records are
-        ledgered through the ingest state, exactly as in batch mode."""
-        import hashlib
-
-        chunk_id = chunk_id or f"tle-text:{hashlib.sha256(text.encode()).hexdigest()[:24]}"
-        if self._is_duplicate(chunk_id):
-            return IngestDelta(chunk_id=chunk_id, kind="tle", duplicate=True)
-        epochs_before = self._tle_high
-        by_satellite = self.state.add_tle_text_delta(text, source=source)
-        new_records = sum(by_satellite.values())
-        late = False
-        if by_satellite:
-            epochs = [
-                e.epoch.unix
-                for number in by_satellite
-                for e in self.state.catalog.get(number)
-            ]
-            late = epochs_before is not None and min(epochs) <= epochs_before
-            self._tle_high = max(epochs_before or -float("inf"), max(epochs))
-            if late:
-                self._late += 1
-        return IngestDelta(
-            chunk_id=chunk_id,
-            kind="tle",
-            late=late,
-            new_records=new_records,
             records_by_satellite=tuple(sorted(by_satellite.items())),
         )
 

@@ -10,9 +10,9 @@ long-lived :class:`~repro.core.pipeline.CosmicDance`:
   resulting episode transitions alert immediately — storm alerting
   never waits for an analysis run;
 * the :class:`~repro.stream.planner.DeltaPlanner` accumulates dirty
-  satellites and plugs its digest-cached ``task_for`` into the
-  pipeline, so a :meth:`refresh` recomputes exactly the dirty
-  (satellite, stage) pairs — everything else is a StageMemo hit;
+  satellites and predicts each refresh's dirty (satellite, stage)
+  pairs; a :meth:`refresh` recomputes exactly those — everything else
+  is a StageMemo hit, keyed by the digest each history caches;
 * each refresh's trajectory triggers pass through the
   :class:`~repro.stream.alerts.AlertEngine` (deduplicated, journaled,
   metered).
@@ -94,12 +94,7 @@ class StreamMonitor:
             raise StreamError(f"run_every must be at least 1: {run_every}")
         self.config = config or CosmicDanceConfig()
         self.planner = DeltaPlanner()
-        self.pipeline = CosmicDance(
-            self.config,
-            memo=memo,
-            tracer=tracer,
-            task_factory=self.planner.task_for,
-        )
+        self.pipeline = CosmicDance(self.config, memo=memo, tracer=tracer)
         self.ingestor = StreamIngestor(self.pipeline.ingest)
         self.detector = detector or OnlineStormDetector()
         self.alerts = AlertEngine(

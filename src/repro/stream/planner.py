@@ -1,20 +1,14 @@
 """Delta-aware re-analysis planning.
 
-The pipeline's fleet stage is already memoized per satellite (StageMemo
-under (history digest, config digest)), so a warm re-run only *computes*
-dirty satellites — but it still *hashes* every history on every run,
-which is the dominant warm-path cost once fleets grow.  The
-:class:`DeltaPlanner` removes that: it is a digest cache keyed by
-``(catalog_number, record_count)``, valid because
-:meth:`~repro.tle.catalog.SatelliteHistory.add` dedups by epoch and
-never mutates records — a history only ever *grows*, so an unchanged
-record count means unchanged content.
-
-It also turns ingest deltas into an explicit :class:`ReplanPlan` — the
-minimal set of dirty (satellite, stage) pairs a run will actually
-recompute — by probing the memo with :meth:`~repro.exec.memo.StageMemo.
-peek` (no counters moved), so callers can alert, budget, or skip runs
-*before* paying for one.
+The pipeline's fleet stage is memoized per satellite (StageMemo under
+(history digest, config digest)), and each history caches its own
+digest until it next grows, so a warm re-run neither recomputes nor
+re-hashes clean satellites.  The :class:`DeltaPlanner` turns ingest
+deltas into an explicit :class:`ReplanPlan` — the minimal set of dirty
+(satellite, stage) pairs a run will actually recompute — by probing
+the memo with :meth:`~repro.exec.memo.StageMemo.peek` (no counters
+moved), so callers can alert, budget, or skip runs *before* paying for
+one.
 """
 
 from __future__ import annotations
@@ -23,9 +17,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.config import CosmicDanceConfig
-from repro.core.pipeline import satellite_task
-from repro.exec import SatelliteTask, StageMemo, config_digest
-from repro.tle.catalog import SatelliteCatalog, SatelliteHistory
+from repro.exec import StageMemo, config_digest
+from repro.tle.catalog import SatelliteCatalog
 
 if TYPE_CHECKING:
     from repro.stream.ingestor import IngestDelta
@@ -70,9 +63,6 @@ class DeltaPlanner:
     """Maps ingest deltas to the minimal dirty (satellite, stage) set."""
 
     def __init__(self) -> None:
-        # catalog_number -> (record_count, digest); append-only histories
-        # make record_count a sound content proxy.
-        self._digests: dict[int, tuple[int, str]] = {}
         self._pending_dirty: set[int] = set()
         self._pending_dst_hours = 0
         self._ran_once = False
@@ -94,28 +84,6 @@ class DeltaPlanner:
     def pending_dst_hours(self) -> int:
         return self._pending_dst_hours
 
-    # --- digest-cached task construction -----------------------------------
-    def task_for(self, history: SatelliteHistory) -> SatelliteTask:
-        """A :class:`SatelliteTask` with a cached content digest.
-
-        Drop-in ``task_factory`` for :class:`~repro.core.pipeline.
-        CosmicDance`: unchanged histories skip the SHA-256 over their
-        full record text, so warm-path hashing cost scales with the
-        delta instead of the history.
-        """
-        number = history.catalog_number
-        count = len(history)
-        cached = self._digests.get(number)
-        if cached is not None and cached[0] == count:
-            return SatelliteTask(
-                catalog_number=number,
-                elements=tuple(history),
-                digest=cached[1],
-            )
-        task = satellite_task(history)
-        self._digests[number] = (count, task.digest)
-        return task
-
     # --- planning -----------------------------------------------------------
     def plan(
         self,
@@ -129,11 +97,10 @@ class DeltaPlanner:
         dirty: list[int] = []
         clean: list[int] = []
         for history in catalog:
-            task = self.task_for(history)
-            if memo is not None and memo.peek(task.digest, cfg):
-                clean.append(task.catalog_number)
+            if memo is not None and memo.peek(history.digest, cfg):
+                clean.append(history.catalog_number)
             else:
-                dirty.append(task.catalog_number)
+                dirty.append(history.catalog_number)
         storms_dirty = self._pending_dst_hours > 0 or not self._ran_once
         return ReplanPlan(
             dirty=tuple(sorted(dirty)),
@@ -147,11 +114,3 @@ class DeltaPlanner:
         self._pending_dirty.clear()
         self._pending_dst_hours = 0
         self._ran_once = True
-
-    def invalidate(self, catalog_number: int | None = None) -> None:
-        """Drop cached digests (all, or one satellite's) — for callers
-        that mutate histories outside the ingest path."""
-        if catalog_number is None:
-            self._digests.clear()
-        else:
-            self._digests.pop(catalog_number, None)

@@ -50,12 +50,10 @@ def merge_series(a: TimeSeries, b: TimeSeries) -> TimeSeries:
     Used to splice incrementally fetched TLE history onto a cached
     series (the paper's incremental-ingest behaviour).
     """
-    combined: dict[float, float] = dict(zip(a.times.tolist(), a.values.tolist()))
-    combined.update(zip(b.times.tolist(), b.values.tolist()))
-    if not combined:
-        return TimeSeries.empty()
-    times = np.array(sorted(combined), dtype=np.float64)
-    values = np.array([combined[t] for t in times], dtype=np.float64)
+    times = np.union1d(a.times, b.times)
+    values = np.empty_like(times)
+    values[np.searchsorted(times, a.times)] = a.values
+    values[np.searchsorted(times, b.times)] = b.values
     return TimeSeries(times, values)
 
 

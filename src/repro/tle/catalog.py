@@ -4,12 +4,16 @@
 catalog number set is extracted once (from a current-TLE snapshot) and
 historical element sets are merged in incrementally as they are fetched,
 deduplicated by epoch, kept sorted, and exposed as the per-satellite
-time series the analysis stages consume.
+time series the analysis stages consume.  Each history also owns its
+content digest, the key of the stage cache's incremental re-run.
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
+from dataclasses import fields
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -19,16 +23,37 @@ from repro.time import Epoch
 from repro.timeseries import TimeSeries
 from repro.tle.elements import MeanElements
 
+#: Every :class:`MeanElements` field in declaration order, the epoch as
+#: its Julian date (``repr(Epoch)`` rounds to the whole second).
+_DIGEST_FIELDS = attrgetter(
+    *("epoch.jd" if f.name == "epoch" else f.name for f in fields(MeanElements))
+)
+
+
+def history_digest(elements: Iterable[MeanElements]) -> str:
+    """SHA-256 over the raw field values of an element-set sequence.
+
+    Floats ``repr`` exactly, so two histories with identical records
+    always share a digest, and any added, removed, reordered or changed
+    record breaks it, down to a sub-second epoch shift.
+    """
+    digest = hashlib.sha256()
+    for element in elements:
+        digest.update(repr(_DIGEST_FIELDS(element)).encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
 
 class SatelliteHistory:
     """The time-ordered element-set history of one satellite."""
 
-    __slots__ = ("catalog_number", "_epochs", "_elements")
+    __slots__ = ("catalog_number", "_epochs", "_elements", "_digest")
 
     def __init__(self, catalog_number: int) -> None:
         self.catalog_number = catalog_number
         self._epochs: list[float] = []  # Unix seconds, sorted
         self._elements: list[MeanElements] = []
+        self._digest: str | None = None
 
     def __len__(self) -> int:
         return len(self._elements)
@@ -53,7 +78,16 @@ class SatelliteHistory:
             return False
         self._epochs.insert(idx, t)
         self._elements.insert(idx, elements)
+        self._digest = None
         return True
+
+    @property
+    def digest(self) -> str:
+        """:func:`history_digest` of the records, cached until the next
+        inserting :meth:`add` (the only way a history changes)."""
+        if self._digest is None:
+            self._digest = history_digest(self._elements)
+        return self._digest
 
     @property
     def first_epoch(self) -> Epoch:

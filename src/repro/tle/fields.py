@@ -99,7 +99,7 @@ def parse_implied_decimal(field: str) -> float:
         mantissa_text, exp_text = field[:-2], field[-2:]
     else:
         mantissa_text, exp_text = field, "+0"
-    if not mantissa_text.isdigit():
+    if not mantissa_text.isdigit() or exp_text[1] not in "0123456789":
         raise TLEFieldError(f"bad implied-decimal field: {field!r}")
     mantissa = int(mantissa_text) / (10 ** len(mantissa_text))
     return sign * mantissa * 10 ** int(exp_text)

@@ -2,6 +2,7 @@
 per-run ledger scoping regression."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -94,12 +95,12 @@ class TestTypedDelegates:
         with pytest.raises(TypeError):
             cd.conjunctions(3.0)
 
-    def test_unknown_kwargs_warn_deprecation(self):
+    def test_unknown_kwargs_raise_type_error(self):
         cd = self.make_pipeline()
-        with pytest.warns(DeprecationWarning, match="band_exposure"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(TypeError):
                 cd.band_exposure(bogus_knob=1)
-        with pytest.warns(DeprecationWarning, match="conjunctions"):
             with pytest.raises(TypeError):
                 cd.conjunctions(bogus_knob=1)
 

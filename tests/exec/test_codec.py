@@ -5,15 +5,15 @@ import json
 import pytest
 
 from repro.core.config import CosmicDanceConfig
-from repro.core.pipeline import process_satellite, satellite_task
+from repro.core.pipeline import process_satellite
 from repro.exec.codec import CODEC_VERSION, decode_outcome, encode_outcome
 
 from tests.core.helpers import history_from_profile, steady_history
 
 
 def computed_outcome(catalog=9, days=60):
-    task = satellite_task(steady_history(catalog=catalog, days=days))
-    return process_satellite(task, CosmicDanceConfig())
+    history = steady_history(catalog=catalog, days=days)
+    return process_satellite(history, CosmicDanceConfig())
 
 
 class TestRoundTrip:
@@ -26,18 +26,16 @@ class TestRoundTrip:
         # non-trivial assessment fields.
         profile = [(float(d), 550.0) for d in range(60)]
         profile += [(60.0 + d, 550.0 - 3.0 * (d + 1)) for d in range(40)]
-        task = satellite_task(history_from_profile(3, profile))
-        outcome = process_satellite(task, CosmicDanceConfig())
+        history = history_from_profile(3, profile)
+        outcome = process_satellite(history, CosmicDanceConfig())
         assert outcome.events  # the profile must actually produce some
         assert decode_outcome(encode_outcome(outcome)) == outcome
 
     def test_emptied_history_round_trips(self):
         # Everything above the validity ceiling: cleaning removes all
         # records, a valid cacheable outcome with cleaned=None.
-        task = satellite_task(
-            history_from_profile(4, [(float(d), 10000.0) for d in range(5)])
-        )
-        outcome = process_satellite(task, CosmicDanceConfig())
+        history = history_from_profile(4, [(float(d), 10000.0) for d in range(5)])
+        outcome = process_satellite(history, CosmicDanceConfig())
         assert outcome.ok and outcome.cleaned is None
         assert decode_outcome(encode_outcome(outcome)) == outcome
 

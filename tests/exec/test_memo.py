@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.config import CosmicDanceConfig
-from repro.core.pipeline import process_satellite, satellite_task
+from repro.core.pipeline import process_satellite
 from repro.exec import (
     StageMemo,
     cache_key,
@@ -27,8 +27,11 @@ class TestHistoryDigest:
         base = tuple(steady_history(catalog=5, days=30))
         appended = base + (record(5, 30.0, 550.0),)
         altered = base[:-1] + (record(5, 29.0, 551.0),)
-        digests = {history_digest(base), history_digest(appended), history_digest(altered)}
-        assert len(digests) == 3
+        # 0.3 s later: ``repr(Epoch)`` rounds this away, the digest must not.
+        last = base[-1]
+        shifted = base[:-1] + (last.with_epoch(last.epoch.add_seconds(0.3)),)
+        variants = (base, appended, altered, shifted)
+        assert len({history_digest(history) for history in variants}) == 4
 
     def test_order_sensitive(self):
         base = tuple(steady_history(catalog=5, days=10))
@@ -52,65 +55,60 @@ class TestConfigDigest:
 
 class TestStageMemo:
     def outcome(self, catalog=1, days=40):
-        task = satellite_task(steady_history(catalog=catalog, days=days))
-        return task, process_satellite(task, CosmicDanceConfig())
+        history = steady_history(catalog=catalog, days=days)
+        return history.digest, process_satellite(history, CosmicDanceConfig())
 
     def test_miss_then_hit(self):
         memo = StageMemo()
-        task, outcome = self.outcome()
+        digest, outcome = self.outcome()
         cfg = config_digest(CosmicDanceConfig())
-        assert memo.get(task.digest, cfg) is None
-        memo.put(task.digest, cfg, outcome)
-        hit = memo.get(task.digest, cfg)
-        assert hit is not None
-        assert hit.from_cache
-        assert replace(hit, from_cache=False) == outcome
+        assert memo.get(digest, cfg) is None
+        memo.put(digest, cfg, outcome)
+        assert memo.get(digest, cfg) == outcome
         assert (memo.hits, memo.misses) == (1, 1)
 
     def test_failures_never_cached(self):
         memo = StageMemo()
-        task, outcome = self.outcome()
+        digest, outcome = self.outcome()
         failed = replace(outcome, error="ValueError: transient", error_stage="assess")
-        memo.put(task.digest, "cfg", failed)
-        assert memo.get(task.digest, "cfg") is None
+        memo.put(digest, "cfg", failed)
+        assert memo.get(digest, "cfg") is None
 
     def test_config_digest_partitions_entries(self):
         memo = StageMemo()
-        task, outcome = self.outcome()
-        memo.put(task.digest, "cfg-a", outcome)
-        assert memo.get(task.digest, "cfg-b") is None
+        digest, outcome = self.outcome()
+        memo.put(digest, "cfg-a", outcome)
+        assert memo.get(digest, "cfg-b") is None
 
     def test_persistent_roundtrip(self, tmp_path):
-        task, outcome = self.outcome(catalog=44713)
+        digest, outcome = self.outcome(catalog=44713)
         cfg = config_digest(CosmicDanceConfig())
         writer = StageMemo(DataStore(tmp_path))
-        writer.put(task.digest, cfg, outcome)
-        # A fresh memo over the same store starts warm...
+        writer.put(digest, cfg, outcome)
+        # A fresh memo over the same store starts warm, and the
+        # rehydrated outcome is exact, not approximate.
         reader = StageMemo(DataStore(tmp_path))
-        hit = reader.get(task.digest, cfg)
-        assert hit is not None and hit.from_cache
-        # ...and the rehydrated outcome is exact, not approximate.
-        assert replace(hit, from_cache=False) == outcome
+        assert reader.get(digest, cfg) == outcome
 
     def test_corrupt_persistent_entry_degrades_to_miss(self, tmp_path):
-        task, outcome = self.outcome()
+        digest, outcome = self.outcome()
         cfg = config_digest(CosmicDanceConfig())
         store = DataStore(tmp_path)
-        StageMemo(store).put(task.digest, cfg, outcome)
-        name = cache_key(task.digest, cfg)
+        StageMemo(store).put(digest, cfg, outcome)
+        name = cache_key(digest, cfg)
         entry = tmp_path / "stage_cache" / f"{name}.json"
         entry.write_text("{ not json")
         fresh_store = DataStore(tmp_path)
         memo = StageMemo(fresh_store)
-        assert memo.get(task.digest, cfg) is None
+        assert memo.get(digest, cfg) is None
         assert len(fresh_store.ledger) == 1
         assert not entry.exists()  # quarantined aside, not left to re-fail
 
     def test_clear_drops_memory_not_store(self, tmp_path):
-        task, outcome = self.outcome()
+        digest, outcome = self.outcome()
         cfg = config_digest(CosmicDanceConfig())
         memo = StageMemo(DataStore(tmp_path))
-        memo.put(task.digest, cfg, outcome)
+        memo.put(digest, cfg, outcome)
         memo.clear()
         assert len(memo) == 0
-        assert memo.get(task.digest, cfg) is not None  # reloaded from disk
+        assert memo.get(digest, cfg) is not None  # reloaded from disk

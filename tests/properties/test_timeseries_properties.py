@@ -1,7 +1,7 @@
 """Property-based tests for TimeSeries invariants."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -32,6 +32,34 @@ def series(draw, max_len=50):
     return TimeSeries(times, values)
 
 
+VALUES = st.floats(-1e6, 1e6, allow_nan=False) | st.just(float("nan"))
+
+
+@st.composite
+def overlapping_pair(draw, max_len=40):
+    """Two series drawn from one timestamp pool, so they overlap anywhere
+    from not at all to completely; either may be empty."""
+    times = st.floats(0.0, 1e6, allow_nan=False)
+    pool = sorted(draw(st.lists(times, max_size=max_len, unique=True)))
+
+    def pick() -> TimeSeries:
+        times = [t for t in pool if draw(st.booleans())]
+        values = draw(st.lists(VALUES, min_size=len(times), max_size=len(times)))
+        return TimeSeries(times, values)
+
+    return pick(), pick()
+
+
+def merge_series_oracle(a: TimeSeries, b: TimeSeries) -> TimeSeries:
+    """The scalar dict merge that ``merge_series`` replaced: *b* wins."""
+    combined = dict(zip(a.times.tolist(), a.values.tolist()))
+    combined.update(zip(b.times.tolist(), b.values.tolist()))
+    if not combined:
+        return TimeSeries.empty()
+    times = sorted(combined)
+    return TimeSeries(times, [combined[t] for t in times])
+
+
 class TestSeriesInvariants:
     @given(series())
     def test_times_strictly_increasing(self, s):
@@ -58,6 +86,13 @@ class TestSeriesInvariants:
         assert len(merged) == len(set(a.times.tolist()) | set(b.times.tolist()))
         if len(merged) > 1:
             assert np.all(np.diff(merged.times) > 0)
+
+    @given(overlapping_pair())
+    @example((TimeSeries.empty(), TimeSeries.empty()))
+    @example((TimeSeries([1.0, 2.0], [np.nan, 1.0]), TimeSeries([2.0], [np.nan])))
+    def test_merge_matches_dict_oracle(self, pair):
+        a, b = pair
+        assert merge_series(a, b) == merge_series_oracle(a, b)
 
     @given(series())
     def test_merge_idempotent(self, s):

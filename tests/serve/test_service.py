@@ -77,6 +77,23 @@ class TestIngestAndRefresh:
         batch = result_digest(analyze(dst_text, tle_text))
         assert response.result["result_digest"] == batch
 
+    def test_corrupt_exponent_is_ledgered_and_the_batch_ingested(
+        self, service, dst_text, tle_text
+    ):
+        # One record whose exponent digit is a letter (checksum intact)
+        # must not cost the batch its valid records.
+        line1, line2 = tle_text.splitlines()[:2]
+        assert line1[44:52] == " 00000+0"
+        corrupt = f"{line1[:51]}Y{line1[52:]}\n{line2}\n"
+        response = service.call(
+            service.request(
+                "ingest-delta", dst_text=dst_text, tle_text=corrupt + tle_text
+            )
+        )
+        assert response.ok, response.error
+        tle_chunk = response.result["chunks"][1]
+        assert tle_chunk["new_records"] == len(tle_text.splitlines()) // 2
+
     def test_refresh_before_ready_is_typed(self, service, dst_text):
         response = service.call(
             service.request("ingest-delta", dst_text=dst_text)

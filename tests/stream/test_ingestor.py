@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import StreamError
 from repro.stream import FeedChunk, StreamIngestor
-from repro.tle.format import format_tle_block
 
 from tests.core.helpers import record
 from tests.stream.conftest import START, hourly
@@ -34,6 +33,20 @@ class TestDedup:
         assert overlap.new_records == 1
         assert overlap.records_by_satellite == ((1, 1),)
         assert len(ingestor.state.catalog.get(1)) == 3
+
+    def test_default_ids_tell_sub_second_chunks_apart(self):
+        # Two single-record chunks 0.3 s apart, both with content-derived
+        # ids: ``repr(Epoch)`` rounds the difference away, the id must not.
+        ingestor = StreamIngestor()
+        first = record(1, 0.0, 550.0)
+        second = first.with_epoch(first.epoch.add_seconds(0.3))
+        deltas = [
+            ingestor.offer(FeedChunk.of_elements([element]))
+            for element in (first, second)
+        ]
+        assert [delta.duplicate for delta in deltas] == [False, False]
+        assert [delta.new_records for delta in deltas] == [1, 1]
+        assert len(ingestor.state.catalog.get(1)) == 2
 
     def test_empty_chunks_are_rejected(self):
         ingestor = StreamIngestor()
@@ -78,37 +91,3 @@ class TestWatermarks:
         delta = ingestor.offer_elements([record(2, 1.0, 550.0)])
         assert delta.late
         assert ingestor.watermarks.tle_high == START.add_days(10.0)
-
-
-class TestTleText:
-    def test_text_chunk_parses_and_counts_per_satellite(self):
-        ingestor = StreamIngestor()
-        text = format_tle_block(
-            [record(1, 0.0, 550.0), record(1, 1.0, 550.0), record(2, 0.0, 540.0)]
-        )
-        delta = ingestor.offer_tle_text(text)
-        assert delta.new_records == 3
-        assert delta.records_by_satellite == ((1, 2), (2, 1))
-        assert delta.dirty_satellites == (1, 2)
-
-    def test_same_text_redelivered_is_duplicate(self):
-        ingestor = StreamIngestor()
-        text = format_tle_block([record(1, 0.0, 550.0)])
-        assert ingestor.offer_tle_text(text).new_records == 1
-        again = ingestor.offer_tle_text(text)
-        assert again.duplicate
-        assert ingestor.state.stats.tle_records_added == 1
-
-    def test_corrupt_text_is_ledgered_once(self):
-        ingestor = StreamIngestor()
-        lines = format_tle_block([record(1, 0.0, 550.0)]).splitlines()
-        lines[0] = lines[0][:-1] + "0"  # break the checksum
-        corrupt = "\n".join(lines)
-        delta = ingestor.offer_tle_text(corrupt)
-        assert delta.new_records == 0
-        assert ingestor.state.stats.tle_parse_errors == 1
-        assert len(ingestor.state.ledger) == 1
-        # Re-delivery is dropped at the chunk layer: no double ledgering.
-        assert ingestor.offer_tle_text(corrupt).duplicate
-        assert ingestor.state.stats.tle_parse_errors == 1
-        assert len(ingestor.state.ledger) == 1

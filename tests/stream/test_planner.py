@@ -1,7 +1,7 @@
 """Unit tests for the delta-aware re-analysis planner."""
 
 from repro.core.config import CosmicDanceConfig
-from repro.core.pipeline import CosmicDance, satellite_task
+from repro.core.pipeline import CosmicDance
 from repro.exec import StageMemo
 from repro.stream import DeltaPlanner, StreamIngestor
 from repro.tle import SatelliteCatalog
@@ -25,38 +25,6 @@ def warm_pipeline(dst, catalog, memo, config):
     pipeline.ingest.add_elements(catalog.all_elements())
     pipeline.run()
     return pipeline
-
-
-class TestDigestCache:
-    def test_cached_digest_matches_fresh_hash(self):
-        _, catalog = small_dataset(satellites=1)
-        planner = DeltaPlanner()
-        history = catalog.get(1)
-        first = planner.task_for(history)
-        second = planner.task_for(history)
-        assert first.digest == satellite_task(history).digest
-        assert second.digest == first.digest
-        assert second.elements == first.elements
-
-    def test_growth_invalidates_the_cached_digest(self):
-        _, catalog = small_dataset(satellites=1, days=5)
-        planner = DeltaPlanner()
-        history = catalog.get(1)
-        before = planner.task_for(history).digest
-        history.add(record(1, 5.0, 549.0))
-        after = planner.task_for(history)
-        assert after.digest != before
-        assert after.digest == satellite_task(history).digest
-
-    def test_invalidate_drops_cached_entries(self):
-        _, catalog = small_dataset(satellites=2, days=5)
-        planner = DeltaPlanner()
-        planner.task_for(catalog.get(1))
-        planner.task_for(catalog.get(2))
-        planner.invalidate(1)
-        assert 1 not in planner._digests and 2 in planner._digests
-        planner.invalidate()
-        assert not planner._digests
 
 
 class TestPlanning:

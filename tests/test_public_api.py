@@ -13,6 +13,7 @@ Regenerating after an intentional change (then review the diff!)::
 See docs/API.md for the stability policy.
 """
 
+import ast
 import inspect
 import json
 import os
@@ -23,6 +24,7 @@ import pytest
 import repro
 import repro.api
 
+ROOT = pathlib.Path(__file__).parent.parent
 SNAPSHOT = pathlib.Path(__file__).parent / "fixtures" / "public_api.json"
 
 FACADES = ("analyze", "replay", "serve")
@@ -92,3 +94,21 @@ def test_facade_options_are_keyword_only(name):
 def test_facades_are_reexported_identically():
     for name in FACADES:
         assert getattr(repro, name) is getattr(repro.api, name)
+
+
+def test_version_has_one_source():
+    # pyproject.toml reads the version from repro.__version__ and the
+    # setup.py shim passes no metadata, so the two cannot disagree.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "repro.__version__"
+    }
+    setup_calls = [
+        node
+        for node in ast.walk(ast.parse((ROOT / "setup.py").read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setup"
+    ]
+    assert [(call.args, call.keywords) for call in setup_calls] == [([], [])]

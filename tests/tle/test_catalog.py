@@ -6,7 +6,7 @@ import pytest
 from repro.errors import TLEError
 from repro.time import Epoch
 from repro.tle import SatelliteCatalog
-from repro.tle.catalog import SatelliteHistory
+from repro.tle.catalog import SatelliteHistory, history_digest
 from repro.tle.elements import MeanElements
 
 
@@ -163,3 +163,29 @@ class TestLatestElements:
 
     def test_empty_catalog(self):
         assert SatelliteCatalog().latest_elements() == []
+
+
+class TestHistoryDigest:
+    """A history owns its content digest and caches it until it grows."""
+
+    def test_cached_digest_matches_fresh_hash(self):
+        h = SatelliteHistory(44713)
+        for day in (3, 1, 2):
+            h.add(element(day=day))
+        assert h.digest == history_digest(tuple(h))
+        assert h.digest is h.digest
+
+    def test_growth_invalidates_the_cached_digest(self):
+        h = SatelliteHistory(44713)
+        h.add(element(day=1))
+        before = h.digest
+        assert h.add(element(day=2))
+        assert h.digest != before
+        assert h.digest == history_digest(tuple(h))
+
+    def test_duplicate_add_keeps_the_cached_digest(self):
+        h = SatelliteHistory(44713)
+        h.add(element(day=1))
+        before = h.digest
+        assert not h.add(element(day=1, mean_motion=15.99))
+        assert h.digest is before

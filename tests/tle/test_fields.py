@@ -99,6 +99,8 @@ class TestImpliedDecimal:
     def test_rejects_garbage(self):
         with pytest.raises(TLEFieldError):
             parse_implied_decimal("1a2b3-4")
+        with pytest.raises(TLEFieldError):
+            parse_implied_decimal(" 00000+Y")  # a letter as the exponent digit
 
     @pytest.mark.parametrize(
         "value", [6.6816e-05, -1.1606e-05, 0.0, 1.0e-9, 0.99999, -3.2e-4]

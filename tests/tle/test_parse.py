@@ -4,6 +4,10 @@ import pytest
 
 from repro.errors import TLEChecksumError, TLEFormatError
 from repro.tle import parse_tle, parse_tle_file
+from repro.tle.fields import verify_checksum
+from repro.tle.format import format_tle
+
+from tests.core.helpers import record
 
 ISS_LINE1 = "1 25544U 98067A   08264.51782528 -.00002182  00000-0 -11606-4 0  2927"
 ISS_LINE2 = "2 25544  51.6416 247.4627 0006703 130.5360 325.0288 15.72125391563537"
@@ -83,6 +87,17 @@ class TestLenientFileParse:
         assert report.parsed_count == 1
         assert report.error_count == 1
         assert report.errors[0][0] == 1  # line number of the bad record
+
+    def test_non_digit_exponent_is_ledgered_not_raised(self):
+        # A letter in place of the exponent digit adds 0 to the checksum,
+        # like the "0" it replaced, so only the field parser can catch it.
+        line1, line2 = format_tle(record(1, 0.0, 550.0))
+        bad1 = line1.replace(" 00000+0 ", " 00000+Y ")
+        assert bad1 != line1 and verify_checksum(bad1)
+        report = parse_tle_file([bad1, line2, ISS_LINE1, ISS_LINE2])
+        assert report.parsed_count == 1
+        assert report.error_count == 1
+        assert "implied-decimal" in report.errors[0][1]
 
     def test_orphan_line1(self):
         report = parse_tle_file([ISS_LINE1])
