@@ -2,9 +2,10 @@
 # Pre-PR gate: byte-compile everything, run the tier-1 suite (with any
 # DeprecationWarning raised from repro's own code escalated to an
 # error), the robustness suite, the streaming suite, the chaos
-# (fault-injection) suite, an end-to-end stage-cache smoke run, the
-# batch-vs-replay parity gate and the analysis-service smoke.  All of it must pass before a
-# change ships (see README.md, "Tests").
+# (fault-injection) suite, an end-to-end stage-cache smoke run (the
+# second run is warm, the entries hold at most 64 KB), the
+# batch-vs-replay parity gate and the analysis-service smoke.  All of
+# it must pass before a change ships (see README.md, "Tests").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,6 +44,13 @@ python -m repro.cli analyze --cache "$SMOKE_DIR" >/dev/null
 python -m repro.cli analyze --cache "$SMOKE_DIR" \
   | grep -q "0 miss(es)" \
   || { echo "stage-cache smoke run: stage cache did not warm" >&2; exit 1; }
+# Entries point into the live history (kept positions), they do not copy
+# it: the 30 quickstart entries take about 15 KB, element copies took 4 MB.
+CACHE_BYTES="$(python -c 'import pathlib, sys
+print(sum(p.stat().st_size for p in pathlib.Path(sys.argv[1]).iterdir()))' \
+  "$SMOKE_DIR/stage_cache")"
+[ "$CACHE_BYTES" -le 65536 ] \
+  || { echo "stage-cache smoke run: stage_cache/ holds $CACHE_BYTES bytes (gate 64 KB)" >&2; exit 1; }
 
 echo "== batch-vs-replay parity gate =="
 # Streaming the same dataset chunk-by-chunk must land on the exact

@@ -263,7 +263,7 @@ class CosmicDance:
             dirty: list[SatelliteHistory] = []
             if self.memo is not None:
                 for history in histories:
-                    hit = self.memo.get(history.digest, cfg_digest)
+                    hit = self.memo.get(history, cfg_digest)
                     if hit is None:
                         dirty.append(history)
                         continue
@@ -300,7 +300,7 @@ class CosmicDance:
                             reason=outcome.error,
                         )
                 if self.memo is not None:
-                    self.memo.put(history.digest, cfg_digest, outcome)
+                    self.memo.put(history, cfg_digest, outcome)
                 outcomes[history.catalog_number] = outcome
 
             events: list[TrajectoryEvent] = []

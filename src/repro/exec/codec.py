@@ -3,9 +3,13 @@
 The persistent stage cache (``DataStore`` ``stage_cache/`` entries)
 stores one :class:`~repro.exec.base.SatelliteOutcome` per file.  The
 encoding must be *exact*: a cache hit has to equal the recompute
-byte-for-byte, so elements are serialized field-by-field (``json``
-round-trips finite floats via ``repr`` exactly) rather than through the
-fixed-precision TLE text format, which would quantize them.
+byte-for-byte.  An entry is only ever read back for a history whose
+digest is in its key, which proves the live records are the ones the
+outcome was computed from — so the cleaned history is stored as the
+``[start, stop)`` runs of history positions cleaning kept, and rebuilt
+by slicing the live history's own records.  Everything else (events,
+assessment, report) is stored as raw values (``json`` round-trips
+finite floats via ``repr`` exactly).
 
 Decoding is strict — anything structurally off raises (``KeyError`` /
 ``TypeError`` / ``ValueError`` / a ``ReproError``), and the caller
@@ -22,40 +26,12 @@ from repro.core.decay import DecayAssessment, DecayState
 from repro.core.relations import TrajectoryEvent, TrajectoryEventKind
 from repro.exec.base import SatelliteOutcome
 from repro.time import Epoch
+from repro.tle.catalog import SatelliteHistory
 from repro.tle.elements import MeanElements
 
 #: Bumped whenever the encoding changes shape; readers reject other
 #: versions (a stale entry is just a cache miss, never a crash).
-CODEC_VERSION = 1
-
-_ELEMENT_FIELDS = (
-    "catalog_number",
-    "inclination_deg",
-    "raan_deg",
-    "eccentricity",
-    "argp_deg",
-    "mean_anomaly_deg",
-    "mean_motion_rev_day",
-    "bstar",
-    "ndot_over_2",
-    "nddot_over_6",
-    "classification",
-    "intl_designator",
-    "element_number",
-    "rev_number",
-    "ephemeris_type",
-)
-
-
-def _element_to_jsonable(element: MeanElements) -> dict[str, Any]:
-    payload = {name: getattr(element, name) for name in _ELEMENT_FIELDS}
-    payload["epoch_jd"] = element.epoch.jd
-    return payload
-
-
-def _element_from_jsonable(payload: dict[str, Any]) -> MeanElements:
-    kwargs = {name: payload[name] for name in _ELEMENT_FIELDS}
-    return MeanElements(epoch=Epoch(payload["epoch_jd"]), **kwargs)
+CODEC_VERSION = 2
 
 
 def _report_to_jsonable(report: CleaningReport) -> list[int]:
@@ -67,24 +43,53 @@ def _report_from_jsonable(payload: list[int]) -> CleaningReport:
     return CleaningReport(int(total), int(gross), int(raising), int(kept))
 
 
-def _cleaned_to_jsonable(cleaned: CleanedHistory) -> dict[str, Any]:
-    return {
-        "catalog_number": cleaned.catalog_number,
-        "elements": [_element_to_jsonable(e) for e in cleaned.elements],
-        "operational_from_jd": (
-            cleaned.operational_from.jd if cleaned.operational_from else None
-        ),
-        "report": _report_to_jsonable(cleaned.report),
-    }
+def _kept_runs(cleaned: CleanedHistory, history: SatelliteHistory) -> list[list[int]]:
+    """``[start, stop)`` runs of the history positions *cleaned* kept."""
+    runs: list[list[int]] = []
+    kept = iter(cleaned.elements)
+    wanted = next(kept, None)
+    for position, element in enumerate(history):
+        if wanted is not None and (element is wanted or element == wanted):
+            if runs and runs[-1][1] == position:
+                runs[-1][1] += 1
+            else:
+                runs.append([position, position + 1])
+            wanted = next(kept, None)
+    if wanted is not None:
+        raise ValueError(
+            f"satellite {cleaned.catalog_number}: cleaned records are not "
+            "a subsequence of the history"
+        )
+    return runs
 
 
-def _cleaned_from_jsonable(payload: dict[str, Any]) -> CleanedHistory:
-    operational_jd = payload["operational_from_jd"]
+def _cleaned_from_runs(
+    runs: list[list[int]], history: SatelliteHistory, report: CleaningReport
+) -> CleanedHistory | None:
+    """Slice the kept records back out of the live history."""
+    records = list(history)
+    elements: list[MeanElements] = []
+    floor = 0
+    for start, stop in runs:
+        if not floor <= start < stop <= len(records):
+            raise ValueError(
+                f"stage-cache run [{start}, {stop}) out of range or order "
+                f"for a {len(records)}-record history"
+            )
+        elements.extend(records[start:stop])
+        floor = stop
+    if len(elements) != report.kept:
+        raise ValueError(
+            f"stage-cache entry keeps {len(elements)} records, "
+            f"its report says {report.kept}"
+        )
+    if not elements:
+        return None
     return CleanedHistory(
-        catalog_number=int(payload["catalog_number"]),
-        elements=tuple(_element_from_jsonable(e) for e in payload["elements"]),
-        operational_from=Epoch(operational_jd) if operational_jd is not None else None,
-        report=_report_from_jsonable(payload["report"]),
+        catalog_number=history.catalog_number,
+        elements=tuple(elements),
+        operational_from=elements[0].epoch,
+        report=report,
     )
 
 
@@ -129,37 +134,49 @@ def _assessment_from_jsonable(payload: dict[str, Any]) -> DecayAssessment:
     )
 
 
-def encode_outcome(outcome: SatelliteOutcome) -> str:
-    """Serialize a (successful) outcome to canonical JSON text."""
+def encode_outcome(outcome: SatelliteOutcome, history: SatelliteHistory) -> str:
+    """Serialize a successful *outcome* of *history* to canonical JSON text.
+
+    The cleaned history's report is the outcome's report, as
+    :func:`~repro.core.pipeline.process_satellite` builds it.
+    """
     payload = {
         "version": CODEC_VERSION,
         "catalog_number": outcome.catalog_number,
-        "cleaned": _cleaned_to_jsonable(outcome.cleaned) if outcome.cleaned else None,
+        "kept": (
+            _kept_runs(outcome.cleaned, history) if outcome.cleaned is not None else []
+        ),
         "events": [_event_to_jsonable(e) for e in outcome.events],
         "assessment": (
             _assessment_to_jsonable(outcome.assessment) if outcome.assessment else None
         ),
-        "report": _report_to_jsonable(outcome.report) if outcome.report else None,
+        "report": _report_to_jsonable(outcome.report),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def decode_outcome(text: str) -> SatelliteOutcome:
-    """Parse an outcome back; raises on any structural mismatch."""
+def decode_outcome(text: str, history: SatelliteHistory) -> SatelliteOutcome:
+    """Parse an outcome of *history* back; raises on any structural
+    mismatch, or when the entry does not fit the history."""
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("version") != CODEC_VERSION:
         raise ValueError(
             f"unsupported stage-cache entry version: {payload!r:.80}"
         )
-    cleaned = payload["cleaned"]
+    catalog_number = int(payload["catalog_number"])
+    if catalog_number != history.catalog_number:
+        raise ValueError(
+            f"stage-cache entry is for satellite {catalog_number}, "
+            f"not {history.catalog_number}"
+        )
+    report = _report_from_jsonable(payload["report"])
     assessment = payload["assessment"]
-    report = payload["report"]
     return SatelliteOutcome(
-        catalog_number=int(payload["catalog_number"]),
-        cleaned=_cleaned_from_jsonable(cleaned) if cleaned is not None else None,
+        catalog_number=catalog_number,
+        cleaned=_cleaned_from_runs(payload["kept"], history, report),
         events=tuple(_event_from_jsonable(e) for e in payload["events"]),
         assessment=(
             _assessment_from_jsonable(assessment) if assessment is not None else None
         ),
-        report=_report_from_jsonable(report) if report is not None else None,
+        report=report,
     )

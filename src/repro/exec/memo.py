@@ -15,7 +15,9 @@ changed records) recompute.
   CosmicDance`;
 * optionally, a :class:`~repro.io.store.DataStore` ``stage_cache/``
   directory — write-through persistence, so a fresh process (e.g. the
-  next ``cosmicdance analyze --cache``) starts warm.
+  next ``cosmicdance analyze --cache``) starts warm.  An entry points
+  into the history it was computed from (:mod:`repro.exec.codec`), so
+  every call passes the live history, not just its digest.
 
 Failed outcomes are never cached (transient faults must retry), and a
 corrupt or stale persistent entry degrades to a cache miss — it is
@@ -33,6 +35,7 @@ from repro.exec.digests import cache_key
 if TYPE_CHECKING:
     from repro.io.store import DataStore
     from repro.obs.metrics import MetricsRegistry
+    from repro.tle.catalog import SatelliteHistory
 
 
 class StageMemo:
@@ -57,13 +60,13 @@ class StageMemo:
         return len(self._memory)
 
     def get(
-        self, history_digest: str, config_digest: str
+        self, history: "SatelliteHistory", config_digest: str
     ) -> SatelliteOutcome | None:
-        """The cached outcome for a digest pair, or None (a miss)."""
-        key = (history_digest, config_digest)
+        """The cached outcome for *history* under a config digest, or None."""
+        key = (history.digest, config_digest)
         outcome = self._memory.get(key)
         if outcome is None and self.store is not None:
-            outcome = self._load_persistent(key)
+            outcome = self._load_persistent(key, history)
             if outcome is not None and self.metrics is not None:
                 self.metrics.counter("memo.persistent_hits").inc()
         if outcome is None:
@@ -76,12 +79,12 @@ class StageMemo:
             self.metrics.counter("memo.hits").inc()
         return outcome
 
-    def peek(self, history_digest: str, config_digest: str) -> bool:
-        """Whether an outcome is cached for the pair — a pure membership
+    def peek(self, history: "SatelliteHistory", config_digest: str) -> bool:
+        """Whether an outcome is cached for *history* — a pure membership
         probe that moves no hit/miss counters and loads nothing into the
         memory tier.  The streaming planner uses this to predict which
         (satellite, stage) pairs a run would actually recompute."""
-        key = (history_digest, config_digest)
+        key = (history.digest, config_digest)
         if key in self._memory:
             return True
         if self.store is not None:
@@ -89,24 +92,29 @@ class StageMemo:
         return False
 
     def put(
-        self, history_digest: str, config_digest: str, outcome: SatelliteOutcome
+        self,
+        history: "SatelliteHistory",
+        config_digest: str,
+        outcome: SatelliteOutcome,
     ) -> None:
-        """Memoize a successful outcome (failures are never cached)."""
+        """Memoize a successful outcome of *history* (never a failure)."""
         if not outcome.ok:
             return
-        key = (history_digest, config_digest)
+        key = (history.digest, config_digest)
         self._memory[key] = outcome
         if self.metrics is not None:
             self.metrics.counter("memo.puts").inc()
         if self.store is not None:
-            self.store.save_stage_outcome(cache_key(*key), encode_outcome(outcome))
+            self.store.save_stage_outcome(
+                cache_key(*key), encode_outcome(outcome, history)
+            )
 
     def clear(self) -> None:
         """Drop the in-memory tier (persistent entries survive)."""
         self._memory.clear()
 
     def _load_persistent(
-        self, key: tuple[str, str]
+        self, key: tuple[str, str], history: "SatelliteHistory"
     ) -> SatelliteOutcome | None:
         assert self.store is not None
         name = cache_key(*key)
@@ -114,7 +122,7 @@ class StageMemo:
         if payload is None:
             return None
         try:
-            outcome = decode_outcome(payload)
+            outcome = decode_outcome(payload, history)
         except Exception as exc:
             self.store.discard_stage_outcome(
                 name, f"corrupt stage-cache entry ({type(exc).__name__})"

@@ -97,7 +97,7 @@ class DeltaPlanner:
         dirty: list[int] = []
         clean: list[int] = []
         for history in catalog:
-            if memo is not None and memo.peek(history.digest, cfg):
+            if memo is not None and memo.peek(history, cfg):
                 clean.append(history.catalog_number)
             else:
                 dirty.append(history.catalog_number)

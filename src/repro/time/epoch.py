@@ -23,6 +23,14 @@ _ISO_RE = re.compile(
 )
 
 
+#: ``(year, Jan-1 Julian date, first day number past the year)``,
+#: indexed by two-digit TLE year (00-56 → 2000-2056, 57-99 → 1957-1999).
+_TLE_YEARS = tuple(
+    (year, julian.calendar_to_jd(year, 1, 1), julian.days_in_year(year) + 1)
+    for year in (*range(2000, 2057), *range(1957, 2000))
+)
+
+
 @functools.total_ordering
 @dataclass(frozen=True, slots=True)
 class Epoch:
@@ -71,10 +79,9 @@ class Epoch:
         """
         if not 0 <= two_digit_year <= 99:
             raise TimeError(f"TLE year out of range: {two_digit_year}")
-        year = 1900 + two_digit_year if two_digit_year >= 57 else 2000 + two_digit_year
-        if not 1.0 <= day_of_year < julian.days_in_year(year) + 1:
+        year, jd_jan1, day_end = _TLE_YEARS[two_digit_year]
+        if not 1.0 <= day_of_year < day_end:
             raise TimeError(f"TLE day of year out of range: {day_of_year} in {year}")
-        jd_jan1 = julian.calendar_to_jd(year, 1, 1)
         return cls(jd_jan1 + (day_of_year - 1.0))
 
     # --- accessors ---------------------------------------------------------

@@ -16,26 +16,29 @@ _ALPHA5_REVERSE = {v: k for k, v in _ALPHA5_VALUES.items()}
 
 TLE_LINE_LENGTH = 69
 
+#: Checksum weight of every byte value: ASCII ``0``-``9`` add their
+#: value, ``-`` adds 1, every other byte (all of UTF-8's multi-byte
+#: sequences included) adds 0.
+_CHECKSUM_WEIGHTS = bytes(
+    byte - 48 if 48 <= byte <= 57 else 1 if byte == 45 else 0 for byte in range(256)
+)
+
 
 def checksum(line: str) -> int:
     """Modulo-10 checksum of the first 68 columns of a TLE line.
 
-    Digits add their value; a minus sign adds 1; everything else adds 0.
+    ASCII digits add their value; a minus sign adds 1; everything else
+    (other Unicode digits included) adds 0.
     """
-    total = 0
-    for char in line[:68]:
-        if char.isdigit():
-            total += int(char)
-        elif char == "-":
-            total += 1
-    return total % 10
+    body = line[:68].encode("utf-8", "surrogatepass")
+    return sum(body.translate(_CHECKSUM_WEIGHTS)) % 10
 
 
 def verify_checksum(line: str) -> bool:
-    """True when the line's final column matches its checksum."""
-    if len(line) < TLE_LINE_LENGTH or not line[68].isdigit():
+    """True when the line's final column is the ASCII digit of its checksum."""
+    if len(line) < TLE_LINE_LENGTH or line[68] not in "0123456789":
         return False
-    return int(line[68]) == checksum(line)
+    return ord(line[68]) - 48 == checksum(line)
 
 
 def append_checksum(line68: str) -> str:

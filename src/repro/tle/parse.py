@@ -64,6 +64,12 @@ def parse_tle(line1: str, line2: str, *, verify: bool = True) -> MeanElements:
     """
     line1 = line1.rstrip("\n")
     line2 = line2.rstrip("\n")
+    # Python's int()/float() and str.isdigit() accept non-ASCII digits
+    # ("٥", "²"); the format has none, so such a line is malformed.
+    if not line1.isascii():
+        raise TLEFormatError(f"line 1 is not ASCII: {line1!r}")
+    if not line2.isascii():
+        raise TLEFormatError(f"line 2 is not ASCII: {line2!r}")
     if len(line1) < TLE_LINE_LENGTH:
         raise TLEFormatError(f"line 1 too short ({len(line1)} cols)")
     if len(line2) < TLE_LINE_LENGTH:
@@ -134,10 +140,11 @@ def parse_tle_file(lines: Iterable[str], *, verify: bool = True) -> ParseReport:
     pending: tuple[int, str] | None = None
     for line_number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
-        if not line.strip():
+        width = len(line.strip())
+        if not width:
             continue
         lead = line[0]
-        if lead == "1" and len(line.strip()) > 24:
+        if lead == "1" and width > 24:
             if pending is not None:
                 # Two line 1s in a row: at least one line 2 went missing,
                 # and a line 2 arriving later cannot be attributed to
@@ -161,7 +168,7 @@ def parse_tle_file(lines: Iterable[str], *, verify: bool = True) -> ParseReport:
                 pending = None
                 continue
             pending = (line_number, line)
-        elif lead == "2" and len(line.strip()) > 24:
+        elif lead == "2" and width > 24:
             if pending is None:
                 report.errors.append((line_number, "line 2 without preceding line 1"))
                 continue

@@ -1,9 +1,11 @@
 """Digest and stage-memoization tests, including the persistence tier."""
 
+import json
 from dataclasses import replace
 
 import pytest
 
+from repro import analyze
 from repro.core.config import CosmicDanceConfig
 from repro.core.pipeline import process_satellite
 from repro.exec import (
@@ -11,8 +13,10 @@ from repro.exec import (
     cache_key,
     config_digest,
     history_digest,
+    result_digest,
 )
 from repro.io.store import DataStore
+from repro.simulation.scenario import quickstart_scenario
 
 from tests.core.helpers import record, steady_history
 
@@ -56,59 +60,117 @@ class TestConfigDigest:
 class TestStageMemo:
     def outcome(self, catalog=1, days=40):
         history = steady_history(catalog=catalog, days=days)
-        return history.digest, process_satellite(history, CosmicDanceConfig())
+        return history, process_satellite(history, CosmicDanceConfig())
 
     def test_miss_then_hit(self):
         memo = StageMemo()
-        digest, outcome = self.outcome()
+        history, outcome = self.outcome()
         cfg = config_digest(CosmicDanceConfig())
-        assert memo.get(digest, cfg) is None
-        memo.put(digest, cfg, outcome)
-        assert memo.get(digest, cfg) == outcome
+        assert memo.get(history, cfg) is None
+        memo.put(history, cfg, outcome)
+        assert memo.get(history, cfg) == outcome
         assert (memo.hits, memo.misses) == (1, 1)
 
     def test_failures_never_cached(self):
         memo = StageMemo()
-        digest, outcome = self.outcome()
+        history, outcome = self.outcome()
         failed = replace(outcome, error="ValueError: transient", error_stage="assess")
-        memo.put(digest, "cfg", failed)
-        assert memo.get(digest, "cfg") is None
+        memo.put(history, "cfg", failed)
+        assert memo.get(history, "cfg") is None
 
     def test_config_digest_partitions_entries(self):
         memo = StageMemo()
-        digest, outcome = self.outcome()
-        memo.put(digest, "cfg-a", outcome)
-        assert memo.get(digest, "cfg-b") is None
+        history, outcome = self.outcome()
+        memo.put(history, "cfg-a", outcome)
+        assert memo.get(history, "cfg-b") is None
 
     def test_persistent_roundtrip(self, tmp_path):
-        digest, outcome = self.outcome(catalog=44713)
+        history, outcome = self.outcome(catalog=44713)
         cfg = config_digest(CosmicDanceConfig())
         writer = StageMemo(DataStore(tmp_path))
-        writer.put(digest, cfg, outcome)
+        writer.put(history, cfg, outcome)
         # A fresh memo over the same store starts warm, and the
-        # rehydrated outcome is exact, not approximate.
+        # rehydrated outcome is exact, not approximate — read, as the
+        # next process does, against equal records in new objects.
         reader = StageMemo(DataStore(tmp_path))
-        assert reader.get(digest, cfg) == outcome
+        assert reader.get(steady_history(catalog=44713, days=40), cfg) == outcome
+
+    def test_peek_probes_both_tiers_without_counting(self, tmp_path):
+        history, outcome = self.outcome()
+        cfg = config_digest(CosmicDanceConfig())
+        memo = StageMemo(DataStore(tmp_path))
+        assert not memo.peek(history, cfg)
+        memo.put(history, cfg, outcome)
+        memo.clear()
+        assert memo.peek(history, cfg)
+        assert (memo.hits, memo.misses, len(memo)) == (0, 0, 0)
 
     def test_corrupt_persistent_entry_degrades_to_miss(self, tmp_path):
-        digest, outcome = self.outcome()
+        history, outcome = self.outcome()
         cfg = config_digest(CosmicDanceConfig())
         store = DataStore(tmp_path)
-        StageMemo(store).put(digest, cfg, outcome)
-        name = cache_key(digest, cfg)
+        StageMemo(store).put(history, cfg, outcome)
+        name = cache_key(history.digest, cfg)
         entry = tmp_path / "stage_cache" / f"{name}.json"
         entry.write_text("{ not json")
         fresh_store = DataStore(tmp_path)
         memo = StageMemo(fresh_store)
-        assert memo.get(digest, cfg) is None
+        assert memo.get(history, cfg) is None
         assert len(fresh_store.ledger) == 1
         assert not entry.exists()  # quarantined aside, not left to re-fail
 
     def test_clear_drops_memory_not_store(self, tmp_path):
-        digest, outcome = self.outcome()
+        history, outcome = self.outcome()
         cfg = config_digest(CosmicDanceConfig())
         memo = StageMemo(DataStore(tmp_path))
-        memo.put(digest, cfg, outcome)
+        memo.put(history, cfg, outcome)
         memo.clear()
         assert len(memo) == 0
-        assert memo.get(digest, cfg) is not None  # reloaded from disk
+        assert memo.get(history, cfg) is not None  # reloaded from disk
+
+
+def tamper_last_run(payload):
+    payload["kept"][-1][1] = 10**6  # past the history's end
+
+
+def tamper_overlap(payload):
+    payload["kept"].append([0, 1])  # behind the previous run
+
+
+def tamper_kept_count(payload):
+    payload["kept"][0][1] -= 1  # one record fewer than report.kept
+
+
+def tamper_catalog(payload):
+    payload["catalog_number"] += 1
+
+
+class TestTamperedEntries:
+    """A tampered entry is quarantined and recomputed: the warm run lands
+    on the digest of the cold run that computed every satellite."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return quickstart_scenario(seed=2)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [tamper_last_run, tamper_overlap, tamper_kept_count, tamper_catalog],
+        ids=["out-of-range", "overlap", "kept-count", "catalog"],
+    )
+    def test_quarantined_and_recomputed(self, tmp_path, scenario, tamper):
+        memo = StageMemo(DataStore(tmp_path))
+        cold = analyze(scenario.dst, scenario.catalog, memo=memo)
+        history = max(scenario.catalog, key=len)
+        cfg = config_digest(CosmicDanceConfig())
+        entry = tmp_path / "stage_cache" / f"{cache_key(history.digest, cfg)}.json"
+        payload = json.loads(entry.read_text())
+        tamper(payload)
+        entry.write_text(json.dumps(payload))
+
+        store = DataStore(tmp_path)
+        warm = analyze(scenario.dst, scenario.catalog, memo=StageMemo(store))
+        assert warm.health.cache_misses == 1
+        assert len(store.ledger) == 1
+        assert (tmp_path / "quarantine" / entry.name).exists()
+        assert result_digest(warm) == result_digest(cold)

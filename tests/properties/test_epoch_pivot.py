@@ -7,13 +7,24 @@ satellite's whole history by a century when broken, so they get pinned
 both at the boundaries and across the full representable range.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TimeError
 from repro.time import Epoch
-from repro.time.julian import days_in_year
+from repro.time.julian import calendar_to_jd, days_in_year
+
+
+def full_year(two_digit_year: int) -> int:
+    return 1900 + two_digit_year if two_digit_year >= 57 else 2000 + two_digit_year
+
+
+def tle_epoch_jd_oracle(two_digit_year: int, day_of_year: float) -> float:
+    """The Jan-1 Julian date computed per call, as before the year table."""
+    return calendar_to_jd(full_year(two_digit_year), 1, 1) + (day_of_year - 1.0)
 
 
 class TestPivotBoundaries:
@@ -66,6 +77,29 @@ class TestPivotProperties:
         yy, doy = Epoch.from_calendar(year, 7, 2, 12).to_tle_epoch()
         assert yy == year % 100
         assert Epoch.from_tle_epoch(yy, doy).year == year
+
+
+class TestYearTableOracle:
+    """``from_tle_epoch`` reads Jan 1 from a table built at import; its
+    Julian dates must be bit-equal to computing Jan 1 per call."""
+
+    @pytest.mark.parametrize("yy", range(100))
+    def test_first_last_and_middle_day_of_every_year(self, yy):
+        last_day = days_in_year(full_year(yy))
+        last_instant = math.nextafter(last_day + 1.0, 0.0)
+        for day in (1.0, 1.5, 183.25, float(last_day), last_instant):
+            assert Epoch.from_tle_epoch(yy, day).jd == tle_epoch_jd_oracle(yy, day)
+
+    @given(st.integers(0, 99), st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=300)
+    def test_any_valid_day(self, yy, fraction):
+        day = 1.0 + fraction * days_in_year(full_year(yy))
+        assert Epoch.from_tle_epoch(yy, day).jd == tle_epoch_jd_oracle(yy, day)
+
+    @pytest.mark.parametrize("yy", [0, 23, 24, 56, 57, 99])
+    def test_day_past_the_year_still_raises(self, yy):
+        with pytest.raises(TimeError, match=str(full_year(yy))):
+            Epoch.from_tle_epoch(yy, days_in_year(full_year(yy)) + 1.0)
 
 
 class TestRangeGuards:

@@ -7,6 +7,7 @@ drift with the values, and the alpha-5 / implied-decimal field codecs
 round-trip across their whole documented ranges.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,31 @@ from repro.tle.fields import (
 )
 
 from tests.properties.test_tle_roundtrip import element_sets
+
+def checksum_oracle(line: str) -> int:
+    """The per-character checksum loop, counting ASCII digits only."""
+    total = 0
+    for char in line[:68]:
+        if char in "0123456789":
+            total += ord(char) - ord("0")
+        elif char == "-":
+            total += 1
+    return total % 10
+
+
+def verify_checksum_oracle(line: str) -> bool:
+    return (
+        len(line) >= TLE_LINE_LENGTH
+        and line[68] in "0123456789"
+        and ord(line[68]) - ord("0") == checksum_oracle(line)
+    )
+
+
+#: Any code point, surrogates included, so every UTF-8 byte pattern
+#: reaches the byte-weight table.
+ANY_CHAR = st.characters(exclude_categories=())
+#: TLE-ish columns plus characters Python calls digits that are not ASCII.
+LINE_CHAR = st.sampled_from("0123456789-+. UABCXYZ²³¹٥٠۹०߁𝟘")
 
 #: Column index of every mandatory separator blank in each line body
 #: (0-based; the spec fixes these regardless of field values).
@@ -63,6 +89,34 @@ class TestChecksumInvariance:
         for line in (line1, line2):
             assert not verify_checksum(line[:68])
             assert not verify_checksum(line[:40])
+
+
+class TestChecksumOracle:
+    """The byte-weight table against the per-character loop."""
+
+    @given(st.text(ANY_CHAR, max_size=90))
+    @settings(max_examples=500)
+    def test_table_matches_the_loop_on_any_text(self, text):
+        assert checksum(text) == checksum_oracle(text)
+        assert verify_checksum(text) == verify_checksum_oracle(text)
+
+    @given(st.text(LINE_CHAR, min_size=60, max_size=75))
+    @settings(max_examples=500)
+    def test_table_matches_the_loop_on_line_like_text(self, text):
+        assert checksum(text) == checksum_oracle(text)
+        assert verify_checksum(text) == verify_checksum_oracle(text)
+
+    @given(element_sets())
+    @settings(max_examples=150)
+    def test_table_matches_the_loop_on_formatted_lines(self, elements):
+        for line in format_tle(elements):
+            assert checksum(line) == checksum_oracle(line) == int(line[68])
+
+    @pytest.mark.parametrize("char", ["²", "٥", "𝟗", "½"])
+    def test_unicode_digits_add_nothing_and_never_verify(self, char):
+        line = "1" + char * 67
+        assert checksum(line) == 1
+        assert not verify_checksum(line + char)
 
 
 class TestFieldWidths:

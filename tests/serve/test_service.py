@@ -94,6 +94,22 @@ class TestIngestAndRefresh:
         tle_chunk = response.result["chunks"][1]
         assert tle_chunk["new_records"] == len(tle_text.splitlines()) // 2
 
+    def test_non_ascii_digit_is_ledgered_and_the_batch_ingested(
+        self, service, dst_text, tle_text
+    ):
+        # "²".isdigit() is true but int("²") raises: one such record used
+        # to fail the whole batch with a bare ValueError.
+        line1, line2 = tle_text.splitlines()[:2]
+        corrupt = f"{line1[:25]}²{line1[26:]}\n{line2}\n"
+        response = service.call(
+            service.request(
+                "ingest-delta", dst_text=dst_text, tle_text=corrupt + tle_text
+            )
+        )
+        assert response.ok, response.error
+        tle_chunk = response.result["chunks"][1]
+        assert tle_chunk["new_records"] == len(tle_text.splitlines()) // 2
+
     def test_refresh_before_ready_is_typed(self, service, dst_text):
         response = service.call(
             service.request("ingest-delta", dst_text=dst_text)

@@ -62,6 +62,12 @@ class TestStrictParse:
         with pytest.raises(TLEFormatError):
             parse_tle(ISS_LINE1, other)
 
+    def test_rejects_non_ascii_lines(self):
+        # float() reads "٥" as 5: a numeric field must not accept it.
+        line2 = ISS_LINE2[:8] + "٥" + ISS_LINE2[9:]
+        with pytest.raises(TLEFormatError, match="line 2 is not ASCII"):
+            parse_tle(ISS_LINE1, line2, verify=False)
+
     def test_trailing_newline_tolerated(self):
         el = parse_tle(ISS_LINE1 + "\n", ISS_LINE2 + "\n")
         assert el.catalog_number == 25544
@@ -98,6 +104,24 @@ class TestLenientFileParse:
         assert report.parsed_count == 1
         assert report.error_count == 1
         assert "implied-decimal" in report.errors[0][1]
+
+    def test_non_ascii_digit_is_ledgered_not_raised(self):
+        # "²".isdigit() is true but int("²") raises: a superscript in the
+        # checksummed columns used to escape as a bare ValueError.
+        line1, line2 = format_tle(record(1, 0.0, 550.0))
+        bad1 = line1[:25] + "²" + line1[26:]
+        report = parse_tle_file([bad1, line2, ISS_LINE1, ISS_LINE2])
+        assert report.parsed_count == 1
+        assert report.errors == [(1, report.errors[0][1])]
+        assert "not ASCII" in report.errors[0][1]
+
+    def test_non_ascii_checksum_digit_is_rejected(self):
+        # "٥" (Arabic-Indic five) used to verify as 5.
+        line1, line2 = format_tle(record(1, 0.0, 550.0))
+        bad1 = line1[:68] + chr(ord("٠") + int(line1[68]))
+        report = parse_tle_file([bad1, line2])
+        assert report.parsed_count == 0
+        assert report.error_count == 1
 
     def test_orphan_line1(self):
         report = parse_tle_file([ISS_LINE1])
