@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Pre-PR gate: byte-compile everything, run the tier-1 suite (with any
 # DeprecationWarning raised from repro's own code escalated to an
-# error), the robustness suite, the streaming suite, the chaos
-# (fault-injection) suite, an end-to-end stage-cache smoke run (the
-# second run is warm, the entries hold at most 64 KB), the
-# batch-vs-replay parity gate and the analysis-service smoke.  All of
-# it must pass before a change ships (see README.md, "Tests").
+# error), the benchmark harness's own tests, the robustness suite, the
+# streaming suite, the chaos (fault-injection) suite, an end-to-end
+# stage-cache smoke run (the second run is warm, the entries hold at
+# most 64 KB), the batch-vs-replay parity gate and the analysis-service
+# smoke.  All of it must pass before a change ships (see README.md,
+# "Tests").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +17,12 @@ python -m compileall -q src
 
 echo "== tier-1 suite (repro DeprecationWarnings are errors) =="
 python -m pytest -x -q -W "error::DeprecationWarning:repro"
+
+echo "== bench harness tests =="
+# The traced bench wraps functions by module path and name (TARGETS in
+# bench/spans.py); these tests resolve every one, so renaming or
+# inlining a wrapped function fails here, not only in a traced run.
+python -m pytest -q bench
 
 echo "== robustness suite =="
 python -m pytest -x -q tests/robustness

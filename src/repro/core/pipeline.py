@@ -261,9 +261,12 @@ class CosmicDance:
             cfg_digest = config_digest(self.config)
             outcomes: dict[int, SatelliteOutcome] = {}
             dirty: list[SatelliteHistory] = []
+            cache_quarantined: list[str] = []
             if self.memo is not None:
                 for history in histories:
-                    hit = self.memo.get(history, cfg_digest)
+                    hit = self.memo.get(
+                        history, cfg_digest, quarantined=cache_quarantined
+                    )
                     if hit is None:
                         dirty.append(history)
                         continue
@@ -334,6 +337,7 @@ class CosmicDance:
                 quarantined=quarantined,
                 cache_hits=cache_hits,
                 cache_misses=cache_misses,
+                cache_quarantined=len(cache_quarantined),
             )
         logger.info(
             "cleaning: kept %d/%d records (%d gross errors, %d orbit-raising)",
@@ -419,6 +423,7 @@ class CosmicDance:
             ledger=run_ledger,
             cache_hits=cache_hits,
             cache_misses=cache_misses,
+            cache_quarantined=len(cache_quarantined),
             metrics=self.metrics.snapshot(),
         )
         self._result = PipelineResult(

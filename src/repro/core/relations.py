@@ -25,6 +25,7 @@ from repro.core.config import CosmicDanceConfig
 from repro.core.decay import long_term_median_altitude
 from repro.spaceweather.storms import StormEpisode
 from repro.time import Epoch
+from repro.timeseries.runs import runs
 
 
 class TrajectoryEventKind(enum.Enum):
@@ -76,31 +77,22 @@ def detect_drag_spikes(
     times = np.array([e.epoch.unix for e in elements])
     bstars = np.array([e.bstar for e in elements])
     window_s = config.drag_baseline_days * 86400.0
-
-    events: list[TrajectoryEvent] = []
-    in_spike = False
-    for i in range(len(elements)):
-        lo = int(np.searchsorted(times, times[i] - window_s, side="left"))
-        baseline_window = bstars[lo : i + 1]
-        baseline = float(np.median(baseline_window))
-        if baseline <= 0:
-            in_spike = False
-            continue
-        ratio = bstars[i] / baseline
-        if ratio >= config.drag_spike_factor:
-            if not in_spike:
-                events.append(
-                    TrajectoryEvent(
-                        catalog_number=cleaned.catalog_number,
-                        kind=TrajectoryEventKind.DRAG_SPIKE,
-                        epoch=elements[i].epoch,
-                        magnitude=float(ratio),
-                    )
-                )
-                in_spike = True
-        else:
-            in_spike = False
-    return events
+    window_start = np.searchsorted(times, times - window_s, side="left")
+    baseline = np.array(
+        [np.median(bstars[lo : i + 1]) for i, lo in enumerate(window_start.tolist())]
+    )
+    defined = baseline > 0
+    ratio = np.divide(bstars, baseline, out=np.zeros_like(bstars), where=defined)
+    first, _ = runs(defined & (ratio >= config.drag_spike_factor))
+    return [
+        TrajectoryEvent(
+            catalog_number=cleaned.catalog_number,
+            kind=TrajectoryEventKind.DRAG_SPIKE,
+            epoch=elements[i].epoch,
+            magnitude=float(ratio[i]),
+        )
+        for i in first.tolist()
+    ]
 
 
 def detect_decay_onsets(
@@ -122,29 +114,17 @@ def detect_decay_onsets(
         return []
     median = long_term_median_altitude(cleaned)
     deficits = np.array([median - e.altitude_km for e in elements])
-    below = deficits > config.already_decaying_threshold_km
-
-    events: list[TrajectoryEvent] = []
-    i = 0
-    n = len(elements)
-    while i < n:
-        if not below[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and below[j]:
-            j += 1
-        if j - i >= min_consecutive:
-            events.append(
-                TrajectoryEvent(
-                    catalog_number=cleaned.catalog_number,
-                    kind=TrajectoryEventKind.DECAY_ONSET,
-                    epoch=elements[i].epoch,
-                    magnitude=float(deficits[i:j].max()),
-                )
-            )
-        i = j
-    return events
+    first, last = runs(deficits > config.already_decaying_threshold_km)
+    return [
+        TrajectoryEvent(
+            catalog_number=cleaned.catalog_number,
+            kind=TrajectoryEventKind.DECAY_ONSET,
+            epoch=elements[i].epoch,
+            magnitude=float(deficits[i : j + 1].max()),
+        )
+        for i, j in zip(first.tolist(), last.tolist())
+        if j - i + 1 >= min_consecutive
+    ]
 
 
 def associate(

@@ -20,8 +20,9 @@ changed records) recompute.
   every call passes the live history, not just its digest.
 
 Failed outcomes are never cached (transient faults must retry), and a
-corrupt or stale persistent entry degrades to a cache miss — it is
-quarantined through the store's ledger, never raised.
+corrupt, stale or unreadable persistent entry degrades to a cache miss
+— it is quarantined through the store's ledger, never raised, and
+named to the caller so a run can report it.
 """
 
 from __future__ import annotations
@@ -60,13 +61,22 @@ class StageMemo:
         return len(self._memory)
 
     def get(
-        self, history: "SatelliteHistory", config_digest: str
+        self,
+        history: "SatelliteHistory",
+        config_digest: str,
+        *,
+        quarantined: list[str] | None = None,
     ) -> SatelliteOutcome | None:
-        """The cached outcome for *history* under a config digest, or None."""
+        """The cached outcome for *history* under a config digest, or None.
+
+        A persistent entry this call quarantines (corrupt or unreadable)
+        has its cache key appended to *quarantined*: the caller's
+        per-run tally, since one memo may serve several sessions.
+        """
         key = (history.digest, config_digest)
         outcome = self._memory.get(key)
         if outcome is None and self.store is not None:
-            outcome = self._load_persistent(key, history)
+            outcome = self._load_persistent(key, history, quarantined)
             if outcome is not None and self.metrics is not None:
                 self.metrics.counter("memo.persistent_hits").inc()
         if outcome is None:
@@ -88,7 +98,10 @@ class StageMemo:
         if key in self._memory:
             return True
         if self.store is not None:
-            return self.store.load_stage_outcome(cache_key(*key)) is not None
+            try:
+                return self.store.load_stage_outcome(cache_key(*key)) is not None
+            except OSError:
+                return False
         return False
 
     def put(
@@ -114,19 +127,26 @@ class StageMemo:
         self._memory.clear()
 
     def _load_persistent(
-        self, key: tuple[str, str], history: "SatelliteHistory"
+        self,
+        key: tuple[str, str],
+        history: "SatelliteHistory",
+        quarantined: list[str] | None,
     ) -> SatelliteOutcome | None:
         assert self.store is not None
         name = cache_key(*key)
-        payload = self.store.load_stage_outcome(name)
-        if payload is None:
-            return None
         try:
+            payload = self.store.load_stage_outcome(name)
+            if payload is None:
+                return None
             outcome = decode_outcome(payload, history)
+        except OSError as exc:
+            reason = f"unreadable stage-cache entry ({type(exc).__name__})"
         except Exception as exc:
-            self.store.discard_stage_outcome(
-                name, f"corrupt stage-cache entry ({type(exc).__name__})"
-            )
-            return None
-        self._memory[key] = outcome
-        return outcome
+            reason = f"corrupt stage-cache entry ({type(exc).__name__})"
+        else:
+            self._memory[key] = outcome
+            return outcome
+        self.store.discard_stage_outcome(name, reason)
+        if quarantined is not None:
+            quarantined.append(name)
+        return None

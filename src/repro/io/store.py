@@ -311,23 +311,15 @@ class DataStore:
     def load_stage_outcome(self, key: str) -> str | None:
         """Load one encoded stage outcome, or None when absent.
 
-        Content-addressed entries are disposable by design, so an
-        unreadable file is always treated as a miss (ledgered, never
-        raised) — the pipeline just recomputes the satellite.
+        Raises :class:`OSError` when the entry exists but cannot be
+        read.  Content-addressed entries are disposable by design, so
+        the caller (:class:`~repro.exec.memo.StageMemo`) quarantines it
+        with :meth:`discard_stage_outcome` and recomputes the satellite.
         """
         path = self._stage_cache_dir / f"{key}.json"
         if not path.exists():
             return None
-        try:
-            return self._call(self._read_text, path)
-        except OSError as exc:
-            self.ledger.quarantine_artifact(
-                path.name,
-                STORAGE_STAGE,
-                f"unreadable stage-cache entry ({type(exc).__name__})",
-            )
-            self._quarantine_file(path)
-            return None
+        return self._call(self._read_text, path)
 
     def discard_stage_outcome(self, key: str, reason: str) -> None:
         """Quarantine one stage-cache entry (corrupt or stale)."""

@@ -140,6 +140,10 @@ class RunHealth:
     #: from cache vs recomputed (both 0 when caching is off).
     cache_hits: int = 0
     cache_misses: int = 0
+    #: Persistent stage-cache entries this run quarantined as corrupt or
+    #: unreadable.  Execution health only: they are not ledger entries,
+    #: so ``ledger_text()`` (and the result digest) never see them.
+    cache_quarantined: int = 0
     #: Top-level observability metrics for this run (empty unless the
     #: pipeline ran with ``config.trace`` — see ``repro.obs``).
     metrics: tuple["MetricSample", ...] = ()
@@ -156,6 +160,7 @@ class RunHealth:
         *,
         cache_hits: int = 0,
         cache_misses: int = 0,
+        cache_quarantined: int = 0,
         metrics: Iterable["MetricSample"] = (),
     ) -> "RunHealth":
         return cls(
@@ -163,6 +168,7 @@ class RunHealth:
             entries=ledger.snapshot(),
             cache_hits=cache_hits,
             cache_misses=cache_misses,
+            cache_quarantined=cache_quarantined,
             metrics=tuple(metrics),
         )
 
@@ -201,6 +207,9 @@ class RunHealth:
         if self.cache_hits or self.cache_misses:
             text += (
                 f" (stage cache: {self.cache_hits} hit(s), "
-                f"{self.cache_misses} miss(es))"
+                f"{self.cache_misses} miss(es)"
             )
+            if self.cache_quarantined:
+                text += f", {self.cache_quarantined} quarantined"
+            text += ")"
         return text

@@ -22,6 +22,7 @@ from repro.spaceweather.scales import (
     g_scale_for_level,
 )
 from repro.time import Epoch
+from repro.timeseries.runs import runs
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,6 +51,17 @@ class StormEpisode:
     def contains(self, when: Epoch) -> bool:
         """Whether *when* falls inside the episode."""
         return self.start <= when < self.end
+
+    @classmethod
+    def spanning(cls, first_t: float, last_t: float, peak_nt: float) -> "StormEpisode":
+        """The episode whose first and last storm hours begin at Unix
+        times *first_t* and *last_t*, peaking at *peak_nt*."""
+        return cls(
+            start=Epoch.from_unix(first_t),
+            end=Epoch.from_unix(last_t + HOUR_S),
+            peak_nt=peak_nt,
+            duration_hours=int(round((last_t - first_t) / HOUR_S)) + 1,
+        )
 
 
 def episode_row(episode: StormEpisode) -> dict[str, Any]:
@@ -81,52 +93,25 @@ def detect_episodes(
     if merge_gap_hours < 0:
         raise SpaceWeatherError(f"merge gap must be non-negative: {merge_gap_hours}")
     series = dst.series
-    if not len(series):
-        return []
-
-    times = series.times
-    values = series.values
     with np.errstate(invalid="ignore"):
-        below = np.isfinite(values) & (values <= threshold_nt)
-
-    episodes: list[StormEpisode] = []
-    run_start: int | None = None
-    last_below: int | None = None
-    for i in range(len(values) + 1):
-        is_storm_hour = i < len(values) and bool(below[i])
-        if is_storm_hour:
-            if run_start is None:
-                run_start = i
-            elif last_below is not None:
-                # Merge across the gap only when it is short *and* the
-                # samples are truly consecutive hours (no data hole).
-                gap_hours = round((times[i] - times[last_below]) / HOUR_S) - 1
-                if gap_hours > merge_gap_hours:
-                    episodes.append(_make_episode(times, values, below, run_start, last_below))
-                    run_start = i
-            last_below = i
-        elif i == len(values) and run_start is not None and last_below is not None:
-            episodes.append(_make_episode(times, values, below, run_start, last_below))
-    return episodes
+        below = np.isfinite(series.values) & (series.values <= threshold_nt)
+    spans = episode_spans(series.times, series.values, below, max_gap=merge_gap_hours)
+    return [StormEpisode.spanning(*span) for span in spans]
 
 
-def _make_episode(
+def episode_spans(
     times: np.ndarray,
     values: np.ndarray,
-    below: np.ndarray,
-    start_idx: int,
-    end_idx: int,
-) -> StormEpisode:
-    storm_values = values[start_idx : end_idx + 1]
-    mask = below[start_idx : end_idx + 1]
-    peak = float(storm_values[mask].min())
-    duration = int(round((times[end_idx] - times[start_idx]) / HOUR_S)) + 1
-    return StormEpisode(
-        start=Epoch.from_unix(float(times[start_idx])),
-        end=Epoch.from_unix(float(times[end_idx]) + HOUR_S),
-        peak_nt=peak,
-        duration_hours=duration,
-    )
+    storm: np.ndarray,
+    *,
+    max_gap: int = 0,
+) -> list[tuple[float, float, float]]:
+    """``(first_t, last_t, peak_nt)`` of every maximal run of *storm*
+    hours, merging runs at most *max_gap* hours apart; the peak is the
+    lowest of the run's storm-hour *values*."""
+    first, last = runs(storm, times, HOUR_S, max_gap=max_gap)
+    peaks = np.minimum.reduceat(np.where(storm, values, np.inf), first)
+    return list(zip(times[first].tolist(), times[last].tolist(), peaks.tolist()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,49 +151,15 @@ def episodes_by_level(dst: DstIndex) -> dict[StormLevel, list[StormEpisode]]:
     at exactly one level.
     """
     series = dst.series
-    by_level: dict[StormLevel, list[StormEpisode]] = {
-        level: [] for level in StormLevel if level is not StormLevel.QUIET
-    }
-    if not len(series):
-        return by_level
-
-    times = series.times
     values = series.values
-    run_level: StormLevel | None = None
-    run_start = 0
-    run_peak = 0.0
-    last_idx = 0
-
-    def _flush(end_idx: int) -> None:
-        if run_level is None or run_level is StormLevel.QUIET:
-            return
-        duration = int(round((times[end_idx] - times[run_start]) / HOUR_S)) + 1
-        by_level[run_level].append(
-            StormEpisode(
-                start=Epoch.from_unix(float(times[run_start])),
-                end=Epoch.from_unix(float(times[end_idx]) + HOUR_S),
-                peak_nt=run_peak,
-                duration_hours=duration,
-            )
-        )
-
-    for i in range(len(values)):
-        value = float(values[i])
-        level = classify_dst(value) if np.isfinite(value) else None
-        contiguous = (
-            run_level is not None
-            and i > 0
-            and round((times[i] - times[last_idx]) / HOUR_S) == 1
-        )
-        if level is run_level and contiguous:
-            run_peak = min(run_peak, value)
-        else:
-            if run_level is not None:
-                _flush(last_idx)
-            run_level = level
-            run_start = i
-            run_peak = value if level is not None else 0.0
-        last_idx = i
-    if run_level is not None:
-        _flush(last_idx)
-    return by_level
+    finite = np.isfinite(values)
+    levels = np.full(values.shape, -1)  # NaN hours get no level
+    levels[finite] = [classify_dst(value) for value in values[finite].tolist()]
+    return {
+        level: [
+            StormEpisode.spanning(*span)
+            for span in episode_spans(series.times, values, levels == level)
+        ]
+        for level in StormLevel
+        if level is not StormLevel.QUIET
+    }

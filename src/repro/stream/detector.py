@@ -9,36 +9,37 @@ instead of re-scanning the series.  The invariant it is built around
     after consuming any prefix of an hourly Dst series — in any chunk
     sizes — ``episodes()`` equals ``detect_episodes`` over that prefix.
 
-The incremental rules are derived from the batch scan:
+Each block goes through the batch detector's own code, the
+:func:`~repro.spaceweather.storms.episode_spans` call over
+:func:`~repro.timeseries.runs.runs`, so parity holds by construction.
+The only state carried between blocks is the open run:
 
-* a finite sample at/below the threshold extends the open run, or
-  starts one; if the hour gap back to the previous below-sample exceeds
-  ``merge_gap_hours`` the old run is closed first (the batch splitter);
-* a quiet/missing sample closes the open run once it is *provably*
-  non-extendable: any future below-hour lies at least one hour later,
-  so its gap can only be larger — when the gap already reaches
-  ``merge_gap_hours`` at a quiet sample, no later sample can merge
-  across it;
-* the still-open run is reported as a provisional episode, exactly as
-  the batch detector emits a trailing run at end-of-data.
+* it re-enters the next block as one storm hour at its last storm hour,
+  carrying its peak, so the kernel extends it, splits it off at a gap
+  wider than ``merge_gap_hours``, or leaves it alone;
+* it closes once it is *provably* non-extendable: any future storm hour
+  lies later than the block's last sample, so its gap can only be
+  larger — when the gap to that sample already reaches
+  ``merge_gap_hours``, no later sample can merge across it;
+* while open it is reported as a provisional episode, exactly as the
+  batch detector emits a trailing run at end-of-data.
 
 Late (backfill) data invalidates this forward-only state; the monitor
-answers it with :meth:`rebuild` over the merged series — same consume
-loop, so parity holds by construction.  Transition reporting
+answers it with :meth:`rebuild` over the merged series, which goes
+through the same path from an empty state.  Transition reporting
 (:class:`StormDelta`) is keyed by episode start hour and deduplicated
 across calls, so each onset / level upgrade / end is reported once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.spaceweather.dst import HOUR_S, DstIndex
 from repro.spaceweather.scales import StormLevel
-from repro.spaceweather.storms import StormEpisode
-from repro.time import Epoch
+from repro.spaceweather.storms import StormEpisode, episode_spans
 
 __all__ = ["OnlineStormDetector", "StormDelta"]
 
@@ -58,13 +59,6 @@ class StormDelta:
     @property
     def any(self) -> bool:
         return bool(self.opened or self.closed or self.upgraded)
-
-
-@dataclass(slots=True)
-class _OpenRun:
-    start_t: float
-    last_below_t: float
-    peak_nt: float
 
 
 class OnlineStormDetector:
@@ -88,7 +82,8 @@ class OnlineStormDetector:
         self.threshold_nt = float(threshold_nt)
         self.merge_gap_hours = int(merge_gap_hours)
         self._closed: list[StormEpisode] = []
-        self._run: _OpenRun | None = None
+        #: ``(first_t, last_t, peak_nt)`` of the open run, if any.
+        self._run: tuple[float, float, float] | None = None
         self._last_time: float | None = None
         # Transition memory survives rebuilds: alerts fire once.
         self._reported_level: dict[int, StormLevel] = {}
@@ -118,73 +113,56 @@ class OnlineStormDetector:
         ``detect_episodes`` over every sample consumed."""
         out = list(self._closed)
         if self._run is not None:
-            out.append(self._episode_of(self._run))
+            out.append(StormEpisode.spanning(*self._run))
         return out
 
     @property
     def open_episode(self) -> StormEpisode | None:
         """The provisional episode for the currently open run, if any."""
-        return self._episode_of(self._run) if self._run is not None else None
+        return StormEpisode.spanning(*self._run) if self._run is not None else None
 
     # --- internals --------------------------------------------------------
     def _consume(self, block: DstIndex) -> None:
         series = block.series
-        times = series.times
-        values = series.values
+        times, values = series.times, series.values
+        if self._last_time is not None:
+            fresh = times > self._last_time
+            times, values = times[fresh], values[fresh]
+        if not times.size:
+            return
+        self._last_time = float(times[-1])
         with np.errstate(invalid="ignore"):
             below = np.isfinite(values) & (values <= self.threshold_nt)
-        for i in range(len(values)):
-            t = float(times[i])
-            if self._last_time is not None and t <= self._last_time:
-                continue
-            self._last_time = t
-            if below[i]:
-                self._on_below(t, float(values[i]))
-            else:
-                self._on_quiet(t)
-
-    def _on_below(self, t: float, value: float) -> None:
-        run = self._run
-        if run is None:
-            self._run = _OpenRun(start_t=t, last_below_t=t, peak_nt=value)
+        if self._run is not None:
+            # The open run re-enters as one storm hour at its last storm
+            # hour, carrying its peak; its first hour is put back below.
+            first_t, last_t, peak_nt = self._run
+            times = np.concatenate(([last_t], times))
+            values = np.concatenate(([peak_nt], values))
+            below = np.concatenate(([True], below))
+        spans = episode_spans(times, values, below, max_gap=self.merge_gap_hours)
+        if not spans:
             return
-        gap_hours = round((t - run.last_below_t) / HOUR_S) - 1
-        if gap_hours > self.merge_gap_hours:
-            self._closed.append(self._episode_of(run))
-            self._run = _OpenRun(start_t=t, last_below_t=t, peak_nt=value)
-        else:
-            run.last_below_t = t
-            run.peak_nt = min(run.peak_nt, value)
-
-    def _on_quiet(self, t: float) -> None:
-        run = self._run
-        if run is None:
-            return
-        # Any future below-hour is at least one hour after t, so its gap
-        # back to the run strictly exceeds this one: once the gap at a
-        # quiet sample reaches the merge allowance, the run is final.
-        gap_now = round((t - run.last_below_t) / HOUR_S) - 1
-        if gap_now >= self.merge_gap_hours:
-            self._closed.append(self._episode_of(run))
+        if self._run is not None:
+            spans[0] = (first_t, *spans[0][1:])
+        self._run = spans.pop()
+        self._closed.extend(StormEpisode.spanning(*span) for span in spans)
+        # Later storm hours lie beyond the last sample: once the gap to it
+        # reaches the merge allowance, the open run is final.
+        if round((self._last_time - self._run[1]) / HOUR_S) - 1 >= self.merge_gap_hours:
+            self._closed.append(StormEpisode.spanning(*self._run))
             self._run = None
 
     @staticmethod
     def _key(episode: StormEpisode) -> int:
         return int(round(episode.start.unix))
 
-    def _episode_of(self, run: _OpenRun) -> StormEpisode:
-        return StormEpisode(
-            start=Epoch.from_unix(run.start_t),
-            end=Epoch.from_unix(run.last_below_t + HOUR_S),
-            peak_nt=run.peak_nt,
-            duration_hours=int(round((run.last_below_t - run.start_t) / HOUR_S)) + 1,
-        )
-
     def _diff_report(self) -> StormDelta:
         opened: list[StormEpisode] = []
         closed: list[StormEpisode] = []
         upgraded: list[tuple[StormEpisode, StormLevel]] = []
-        open_key = self._key(self._episode_of(self._run)) if self._run else None
+        open_episode = self.open_episode
+        open_key = self._key(open_episode) if open_episode is not None else None
         for episode in self.episodes():
             key = self._key(episode)
             level = episode.level

@@ -3,19 +3,13 @@
 The CosmicDance pipeline merges two multi-modal data streams — hourly
 Dst samples and irregular TLE observations — into one time-ordered
 representation.  This package provides the ordered-series container and
-the merge/resample/statistics helpers that operation needs.
+the merge, run-finding and statistics helpers that operation needs.
 """
 
 from repro.timeseries.correlate import LagCorrelation, lag_correlation
 from repro.timeseries.merge import align_to, interleave, merge_series
-from repro.timeseries.resample import fill_gaps, resample_hourly, resample_mean
 from repro.timeseries.series import TimeSeries
-from repro.timeseries.stats import (
-    empirical_cdf,
-    percentile,
-    rolling_median,
-    summarize,
-)
+from repro.timeseries.stats import empirical_cdf, percentile
 
 __all__ = [
     "LagCorrelation",
@@ -23,12 +17,7 @@ __all__ = [
     "align_to",
     "lag_correlation",
     "empirical_cdf",
-    "fill_gaps",
     "interleave",
     "merge_series",
     "percentile",
-    "resample_hourly",
-    "resample_mean",
-    "rolling_median",
-    "summarize",
 ]

@@ -1,4 +1,4 @@
-"""Statistics used by the paper's analyses: percentiles, CDFs, windows.
+"""Statistics used by the paper's analyses: percentiles and CDFs.
 
 The paper reasons almost exclusively in percentiles of the observed Dst
 distribution (80th/95th/99th-ptile intensity zones) and empirical CDFs
@@ -64,53 +64,3 @@ def empirical_cdf(data: TimeSeries | np.ndarray | Sequence[float]) -> CDF:
         return CDF(np.empty(0), np.empty(0))
     ps = np.arange(1, finite.size + 1, dtype=np.float64) / finite.size
     return CDF(finite, ps)
-
-
-def rolling_median(series: TimeSeries, window_s: float) -> TimeSeries:
-    """Centered rolling median over a time window of *window_s* seconds."""
-    if window_s <= 0:
-        raise TimeSeriesError(f"window must be positive, got {window_s}")
-    if not len(series):
-        return series
-    times = series.times
-    values = series.values
-    half = window_s / 2.0
-    lo = np.searchsorted(times, times - half, side="left")
-    hi = np.searchsorted(times, times + half, side="right")
-    out = np.empty_like(values)
-    for i in range(len(values)):
-        window = values[lo[i]:hi[i]]
-        finite = window[np.isfinite(window)]
-        out[i] = np.median(finite) if finite.size else np.nan
-    return TimeSeries(times, out)
-
-
-@dataclass(frozen=True, slots=True)
-class Summary:
-    """Five-number-plus summary of a sample."""
-
-    count: int
-    minimum: float
-    median: float
-    mean: float
-    p95: float
-    p99: float
-    maximum: float
-
-
-def summarize(data: TimeSeries | np.ndarray | Sequence[float]) -> Summary:
-    """Summary statistics of the finite samples of *data*."""
-    values = data.values if isinstance(data, TimeSeries) else np.asarray(data, dtype=np.float64)
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
-        nan = float("nan")
-        return Summary(0, nan, nan, nan, nan, nan, nan)
-    return Summary(
-        count=int(finite.size),
-        minimum=float(finite.min()),
-        median=float(np.median(finite)),
-        mean=float(finite.mean()),
-        p95=float(np.percentile(finite, 95)),
-        p99=float(np.percentile(finite, 99)),
-        maximum=float(finite.max()),
-    )

@@ -98,6 +98,18 @@ class TestAssessDecay:
         # The median shifts slightly, so allow a few days' slack.
         assert onset_day == pytest.approx(62.0, abs=5.0)
 
+    def test_history_ending_mid_descent(self):
+        # A re-entry: the record stops while the satellite is falling.
+        # Every descending record is already past the 5 km threshold, so
+        # the onset is the first of them.
+        profile = [(float(d), 550.0) for d in range(60)]
+        profile += [(60.0 + k, 540.0 - 10.0 * k) for k in range(3)]
+        cleaned = clean_history(history_from_profile(1, profile))
+        assessment = assess_decay(cleaned)
+        assert assessment.state is DecayState.PERMANENT_DECAY
+        assert assessment.decay_onset == cleaned.elements[60].epoch
+        assert assessment.decay_onset.days_since(START) == pytest.approx(60.0)
+
     def test_final_altitude_recorded(self):
         assessment = assess_decay(cleaned_decaying(onset_day=60, rate=2.0, days=100))
         assert assessment.final_altitude_km == pytest.approx(550.0 - 2.0 * 39, abs=1.0)

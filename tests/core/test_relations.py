@@ -82,6 +82,25 @@ class TestDragSpikes:
         )
         assert events[1].magnitude == pytest.approx(10.0)
 
+    def test_excursion_running_to_the_last_record_is_one_event(self):
+        profile = [(float(d), 550.0) for d in range(60)]
+        bstars = [1e-4] * 57 + [5e-4] * 3
+        cleaned = clean_history(history_from_profile(1, profile, bstars=bstars))
+        events = detect_drag_spikes(cleaned)
+        assert [e.epoch.days_since(START) for e in events] == pytest.approx([57.0])
+
+    def test_pre_gap_records_stay_in_the_baseline_across_a_154h_gap(self):
+        # 154 h is the paper's longest TLE refresh gap; the 30-day
+        # trailing window still reaches every pre-gap record, so the
+        # post-gap B* is judged against their median, not against itself.
+        gap_day = 20.0 + 154.0 / 24.0
+        profile = [(float(d), 550.0) for d in range(21)] + [(gap_day, 550.0)]
+        bstars = [1e-4] * 21 + [5e-4]
+        cleaned = clean_history(history_from_profile(1, profile, bstars=bstars))
+        events = detect_drag_spikes(cleaned)
+        assert [e.epoch.days_since(START) for e in events] == pytest.approx([gap_day])
+        assert events[0].magnitude == pytest.approx(5.0)
+
 
 class TestDecayOnsets:
     def test_onset_detected(self):
@@ -110,6 +129,19 @@ class TestDecayOnsets:
         cleaned = clean_history(history_from_profile(1, profile))
         events = detect_decay_onsets(cleaned)
         assert events[0].magnitude > 20.0
+
+    @pytest.mark.parametrize("descending, onsets", [(3, 1), (2, 0)])
+    def test_history_ending_mid_descent(self, descending, onsets):
+        # The record stops while the satellite is still falling (a
+        # re-entry): the final run counts once it has min_consecutive
+        # records, and not with one fewer.
+        profile = [(float(d), 550.0) for d in range(60)]
+        profile += [(60.0 + k, 540.0 - 10.0 * k) for k in range(descending)]
+        cleaned = clean_history(history_from_profile(1, profile))
+        events = detect_decay_onsets(cleaned, min_consecutive=3)
+        assert [e.epoch.days_since(START) for e in events] == pytest.approx(
+            [60.0] * onsets
+        )
 
 
 class TestAssociate:

@@ -119,6 +119,38 @@ class TestStageMemo:
         assert len(fresh_store.ledger) == 1
         assert not entry.exists()  # quarantined aside, not left to re-fail
 
+    def test_non_utf8_persistent_entry_is_quarantined_not_raised(self, tmp_path):
+        history, outcome = self.outcome()
+        cfg = config_digest(CosmicDanceConfig())
+        StageMemo(DataStore(tmp_path)).put(history, cfg, outcome)
+        name = cache_key(history.digest, cfg)
+        (tmp_path / "stage_cache" / f"{name}.json").write_bytes(b"\xff\xfe garbage")
+        store = DataStore(tmp_path)
+        quarantined: list[str] = []
+        assert StageMemo(store).get(history, cfg, quarantined=quarantined) is None
+        assert quarantined == [name]
+        assert [entry.reason for entry in store.ledger] == [
+            "corrupt stage-cache entry (UnicodeDecodeError)"
+        ]
+
+    def test_unreadable_persistent_entry_is_quarantined_and_reported(self, tmp_path):
+        history, outcome = self.outcome()
+        cfg = config_digest(CosmicDanceConfig())
+        StageMemo(DataStore(tmp_path)).put(history, cfg, outcome)
+
+        class UnreadableStore(DataStore):
+            def _read_text(self, path):
+                raise PermissionError(path.name)
+
+        store = UnreadableStore(tmp_path)
+        quarantined: list[str] = []
+        assert StageMemo(store).get(history, cfg, quarantined=quarantined) is None
+        assert quarantined == [cache_key(history.digest, cfg)]
+        assert [entry.reason for entry in store.ledger] == [
+            "unreadable stage-cache entry (PermissionError)"
+        ]
+        assert (tmp_path / "quarantine" / f"{quarantined[0]}.json").exists()
+
     def test_clear_drops_memory_not_store(self, tmp_path):
         history, outcome = self.outcome()
         cfg = config_digest(CosmicDanceConfig())
@@ -171,6 +203,7 @@ class TestTamperedEntries:
         store = DataStore(tmp_path)
         warm = analyze(scenario.dst, scenario.catalog, memo=StageMemo(store))
         assert warm.health.cache_misses == 1
+        assert warm.health.cache_quarantined == 1
         assert len(store.ledger) == 1
         assert (tmp_path / "quarantine" / entry.name).exists()
         assert result_digest(warm) == result_digest(cold)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.timeseries import TimeSeries, align_to, empirical_cdf, merge_series
-from repro.timeseries.resample import resample_regular
 
 
 @st.composite
@@ -105,22 +104,6 @@ class TestSeriesInvariants:
         aligned = align_to(s, s.times)
         both = np.isfinite(s.values)
         assert np.array_equal(aligned.values[both], s.values[both])
-
-
-class TestResampleInvariants:
-    @given(series(), st.floats(1.0, 1e5, allow_nan=False))
-    def test_regular_grid(self, s, step):
-        r = resample_regular(s, step)
-        if len(r) > 1:
-            steps = np.diff(r.times)
-            assert np.allclose(steps, step)
-
-    @given(series(), st.floats(1.0, 1e5, allow_nan=False))
-    def test_grid_spans_source(self, s, step):
-        r = resample_regular(s, step)
-        if len(s):
-            assert r.times[0] <= s.times[0]
-            assert r.times[-1] <= s.times[-1] + step
 
 
 class TestCdfInvariants:

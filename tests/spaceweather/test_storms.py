@@ -7,6 +7,9 @@ from repro.errors import SpaceWeatherError
 from repro.spaceweather import DstIndex, StormLevel, detect_episodes, duration_stats
 from repro.spaceweather.storms import episodes_by_level
 from repro.time import Epoch
+from repro.timeseries import TimeSeries
+
+START_UNIX = Epoch.from_calendar(2023, 1, 1).unix
 
 
 def dst_from(values):
@@ -42,6 +45,16 @@ class TestDetectEpisodes:
 
     def test_merge_gap_not_exceeded(self):
         dst = dst_from([-60, -10, -10, -70])
+        assert len(detect_episodes(dst, -50.0, merge_gap_hours=1)) == 2
+
+    def test_nan_hour_merges_under_a_one_hour_merge_gap(self):
+        dst = dst_from([-60, float("nan"), -70])
+        merged = detect_episodes(dst, -50.0, merge_gap_hours=1)
+        assert [(e.duration_hours, e.peak_nt) for e in merged] == [(3, -70.0)]
+
+    def test_two_hour_data_hole_does_not_merge_under_a_one_hour_gap(self):
+        times = START_UNIX + 3600.0 * np.array([0.0, 3.0])
+        dst = DstIndex(TimeSeries(times, np.array([-60.0, -70.0])))
         assert len(detect_episodes(dst, -50.0, merge_gap_hours=1)) == 2
 
     def test_nan_breaks_episode(self):
@@ -108,6 +121,18 @@ class TestEpisodesByLevel:
         dst = dst_from([-60, float("nan"), -60])
         by_level = episodes_by_level(dst)
         assert len(by_level[StormLevel.MINOR]) == 2
+
+    def test_run_touching_the_last_hour_is_counted(self):
+        by_level = episodes_by_level(dst_from([-10, -60, -120, -130]))
+        moderate = by_level[StormLevel.MODERATE]
+        assert [(e.duration_hours, e.peak_nt) for e in moderate] == [(2, -130.0)]
+        assert moderate[0].end == Epoch.from_calendar(2023, 1, 1, 4)
+
+    def test_data_hole_splits_runs(self):
+        times = START_UNIX + 3600.0 * np.array([0.0, 1.0, 3.0])
+        dst = DstIndex(TimeSeries(times, np.array([-60.0, -60.0, -60.0])))
+        minor = episodes_by_level(dst)[StormLevel.MINOR]
+        assert [e.duration_hours for e in minor] == [2, 1]
 
     def test_empty(self):
         by_level = episodes_by_level(dst_from([]))

@@ -122,6 +122,24 @@ class TestTransitions:
         again = detector.observe(stormy_dst)
         assert not again.any
 
+    def test_overlapping_block_skips_consumed_hours(self, stormy_dst):
+        series = stormy_dst.series
+        detector = OnlineStormDetector(-50.0)
+        deltas = []
+        # Hours 0-11 (a G1 onset), then 8-33: the second block re-sends
+        # four hours and deepens the open storm into G2.
+        for lo, hi in ((0, 12), (8, len(series))):
+            block = DstIndex(
+                TimeSeries(series.times[lo:hi].copy(), series.values[lo:hi].copy())
+            )
+            deltas.append(detector.observe(block))
+        assert_same_episodes(detector.episodes(), detect_episodes(stormy_dst, -50.0))
+        opened = [e.start for d in deltas for e in d.opened]
+        closed = [e.start for d in deltas for e in d.closed]
+        assert len(opened) == len(set(opened)) == 2
+        assert len(closed) == len(set(closed)) == 2
+        assert [len(d.upgraded) for d in deltas] == [0, 1]
+
     def test_upgrade_fires_on_noaa_band_crossing(self):
         detector = OnlineStormDetector(-50.0)
         first = detector.observe(hourly([-10.0, -60.0]))

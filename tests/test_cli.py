@@ -164,6 +164,22 @@ class TestDegradedCache:
         assert "Run health" in out
         assert "Quarantine ledger" in out
 
+    def test_quarantined_stage_cache_entry_is_reported(self, cache, capsys):
+        assert main(["analyze", "--cache", str(cache)]) == 0
+        capsys.readouterr()
+        entry = sorted((cache / "stage_cache").iterdir())[0]
+        entry.write_text("garbage")
+        assert main(["analyze", "--cache", str(cache)]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "run health: healthy: nothing quarantined "
+            "(stage cache: 1 hit(s), 1 miss(es), 1 quarantined)"
+        ) in out
+        assert (cache / "quarantine" / entry.name).exists()
+        # Counted per run: the recomputed entry is a plain hit next time.
+        assert main(["analyze", "--cache", str(cache)]) == 0
+        assert "(stage cache: 2 hit(s), 0 miss(es))\n" in capsys.readouterr().out
+
     def test_strict_flag_fails_fast(self, cache, capsys):
         self.corrupt_one_history(cache)
         assert main(["analyze", "--cache", str(cache), "--strict"]) == 1

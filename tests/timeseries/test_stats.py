@@ -1,10 +1,10 @@
-"""Unit tests for percentile/CDF/rolling statistics."""
+"""Unit tests for percentile/CDF statistics."""
 
 import numpy as np
 import pytest
 
 from repro.errors import TimeSeriesError
-from repro.timeseries import TimeSeries, empirical_cdf, percentile, rolling_median, summarize
+from repro.timeseries import TimeSeries, empirical_cdf, percentile
 
 
 class TestPercentile:
@@ -54,36 +54,3 @@ class TestEmpiricalCdf:
         cdf = empirical_cdf([])
         assert len(cdf) == 0
         assert np.isnan(cdf.quantile(0.5))
-
-
-class TestRollingMedian:
-    def test_smooths_spike(self):
-        times = np.arange(10.0)
-        values = np.ones(10)
-        values[5] = 100.0
-        s = TimeSeries(times, values)
-        smoothed = rolling_median(s, window_s=5.0)
-        assert smoothed.values[5] == pytest.approx(1.0)
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(TimeSeriesError):
-            rolling_median(TimeSeries([0.0], [1.0]), window_s=0.0)
-
-    def test_nan_windows(self):
-        s = TimeSeries([0.0, 1.0], [float("nan"), float("nan")])
-        assert np.isnan(rolling_median(s, 10.0).values).all()
-
-
-class TestSummarize:
-    def test_basic(self):
-        summary = summarize(np.arange(1.0, 101.0))
-        assert summary.count == 100
-        assert summary.minimum == 1.0
-        assert summary.maximum == 100.0
-        assert summary.median == pytest.approx(50.5)
-        assert summary.p95 == pytest.approx(95.05)
-
-    def test_empty(self):
-        summary = summarize([])
-        assert summary.count == 0
-        assert np.isnan(summary.mean)
