@@ -59,7 +59,7 @@ from repro.tle.elements import MeanElements
 from repro.tle.format import format_tle
 from repro.tle.parse import parse_tle, parse_tle_file
 
-__version__ = "4.1.0"
+__version__ = "4.2.0"
 
 __all__ = [
     "Alert",

@@ -15,6 +15,7 @@ elements the paper found responsive to storms:
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 
@@ -78,9 +79,7 @@ def detect_drag_spikes(
     bstars = np.array([e.bstar for e in elements])
     window_s = config.drag_baseline_days * 86400.0
     window_start = np.searchsorted(times, times - window_s, side="left")
-    baseline = np.array(
-        [np.median(bstars[lo : i + 1]) for i, lo in enumerate(window_start.tolist())]
-    )
+    baseline = _trailing_median(bstars, window_start)
     defined = baseline > 0
     ratio = np.divide(bstars, baseline, out=np.zeros_like(bstars), where=defined)
     first, _ = runs(defined & (ratio >= config.drag_spike_factor))
@@ -93,6 +92,28 @@ def detect_drag_spikes(
         )
         for i in first.tolist()
     ]
+
+
+def _trailing_median(values: np.ndarray, window_start: np.ndarray) -> np.ndarray:
+    """``np.median(values[window_start[i] : i + 1])`` for every ``i``.
+
+    *window_start* never decreases, so one sorted window slides forward:
+    each record's value goes in, the values that left the window come
+    out, and the median is read from the middle (for an even count the
+    mean of the two middle values, as ``np.median`` computes it).
+    """
+    values = values.tolist()
+    window: list[float] = []
+    medians = []
+    lo = 0
+    for i, start in enumerate(window_start.tolist()):
+        for gone in values[lo:start]:
+            del window[bisect.bisect_left(window, gone)]
+        lo = start
+        bisect.insort(window, values[i])
+        mid, odd = divmod(len(window), 2)
+        medians.append(window[mid] if odd else (window[mid - 1] + window[mid]) / 2)
+    return np.array(medians)
 
 
 def detect_decay_onsets(

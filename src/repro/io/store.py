@@ -53,6 +53,12 @@ T = TypeVar("T")
 STORAGE_STAGE = "storage"
 
 
+def _replace_undecodable(exc: UnicodeDecodeError) -> str:
+    """The whole text a failed read held, each undecodable byte as U+FFFD,
+    so that only the lines holding such bytes are lost."""
+    return exc.object.decode(exc.encoding, errors="replace")
+
+
 class DataStore:
     """A directory-backed cache of ingested data."""
 
@@ -188,6 +194,8 @@ class DataStore:
             return None
         try:
             text = self._call(self._read_text, self._numbers_path)
+        except UnicodeDecodeError as exc:
+            text = _replace_undecodable(exc)
         except OSError as exc:
             if not self.salvage:
                 raise
@@ -248,8 +256,19 @@ class DataStore:
         path = self._tle_dir / f"{catalog_number}.tle"
         if not path.exists():
             return None
+        undecodable = 0
         try:
             text = self._call(self._read_text, path)
+        except UnicodeDecodeError as exc:
+            if not self.salvage:
+                raise IngestError(
+                    f"corrupt TLE cache for {catalog_number}: not UTF-8 text"
+                ) from exc
+            text = _replace_undecodable(exc)
+            # The parser skips a line it cannot read as a TLE line, as it
+            # skips a 3LE name line, so count these lines here (one that
+            # sits inside a record also fails that record).
+            undecodable = sum("\ufffd" in line for line in text.splitlines())
         except OSError as exc:
             if not self.salvage:
                 raise
@@ -273,7 +292,7 @@ class DataStore:
                 mismatched += 1
                 continue
             history.add(elements)
-        corrupt = report.error_count + mismatched
+        corrupt = report.error_count + mismatched + undecodable
         if self.salvage:
             if corrupt and not len(history):
                 self.ledger.quarantine_satellite(
@@ -349,7 +368,7 @@ class DataStore:
             return None
         try:
             return self._call(self._read_text, path)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             self.ledger.quarantine_artifact(
                 path.name,
                 STORAGE_STAGE,
@@ -401,7 +420,7 @@ class DataStore:
             return None
         try:
             text = self._call(self._read_text, path)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             self.ledger.quarantine_artifact(
                 path.name,
                 STORAGE_STAGE,

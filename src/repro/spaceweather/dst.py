@@ -28,8 +28,8 @@ class DstIndex:
     def __init__(self, series: TimeSeries) -> None:
         """Wrap an hourly series of Dst samples.
 
-        Timestamps must be exact multiples of one hour apart (gaps are
-        allowed; NaN samples mark missing hours).
+        Timestamps must be whole hours apart, give or take one second
+        (gaps are allowed; NaN samples mark missing hours).
         """
         if len(series) > 1:
             steps = np.diff(series.times)
@@ -38,6 +38,9 @@ class DstIndex:
             on_grid = (remainder < 1.0) | (remainder > HOUR_S - 1.0)
             if not on_grid.all():
                 raise SpaceWeatherError("Dst samples must be on an hourly grid")
+            # A step that rounds to zero hours would count one hour twice.
+            if (np.rint(steps / HOUR_S) < 1).any():
+                raise SpaceWeatherError("Dst samples must be at least one hour apart")
         self._series = series
 
     @classmethod

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import struct
 from dataclasses import fields
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -21,26 +23,31 @@ import numpy as np
 from repro.errors import TLEError
 from repro.time import Epoch
 from repro.timeseries import TimeSeries
-from repro.tle.elements import MeanElements
+from repro.tle.elements import FLOAT_FIELDS, MeanElements
 
-#: Every :class:`MeanElements` field in declaration order, the epoch as
-#: its Julian date (``repr(Epoch)`` rounds to the whole second).
-_DIGEST_FIELDS = attrgetter(
-    *("epoch.jd" if f.name == "epoch" else f.name for f in fields(MeanElements))
+#: The digest splits every :class:`MeanElements` field into one of two
+#: lists: the epoch (as its Julian date) and the float fields, packed as
+#: binary doubles, and every other field, written with ``repr``.
+_PACKED_FIELDS = attrgetter("epoch.jd", *FLOAT_FIELDS)
+_LABEL_FIELDS = attrgetter(
+    *(f.name for f in fields(MeanElements) if f.name not in ("epoch", *FLOAT_FIELDS))
 )
 
 
 def history_digest(elements: Iterable[MeanElements]) -> str:
     """SHA-256 over the raw field values of an element-set sequence.
 
-    Floats ``repr`` exactly, so two histories with identical records
-    always share a digest, and any added, removed, reordered or changed
-    record breaks it, down to a sub-second epoch shift.
+    The int and string fields go in as the ``repr`` of one list of
+    per-record tuples, a self-delimiting literal; the epoch JD and the
+    float fields follow as fixed-width little-endian doubles.  So two
+    histories with identical records always share a digest, and any
+    added, removed, reordered or changed record breaks it, down to a
+    sub-second epoch shift.
     """
-    digest = hashlib.sha256()
-    for element in elements:
-        digest.update(repr(_DIGEST_FIELDS(element)).encode("utf-8"))
-        digest.update(b"\n")
+    records = list(elements)
+    floats = list(chain.from_iterable(map(_PACKED_FIELDS, records)))
+    digest = hashlib.sha256(repr(list(map(_LABEL_FIELDS, records))).encode("utf-8"))
+    digest.update(struct.pack(f"<{len(floats)}d", *floats))
     return digest.hexdigest()
 
 

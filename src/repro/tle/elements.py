@@ -8,7 +8,9 @@ quantities the paper analyzes (altitude from mean motion, period).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 from repro.errors import TLEFieldError
 from repro.orbits.conversions import (
@@ -67,6 +69,22 @@ class MeanElements:
             raise TLEFieldError(
                 f"mean motion must be positive: {self.mean_motion_rev_day}"
             )
+        # Spelled out rather than looped over FLOAT_FIELDS: this runs for
+        # every parsed record (a test holds it to every float field).
+        isfinite = math.isfinite
+        if not (
+            isfinite(self.inclination_deg)
+            and isfinite(self.raan_deg)
+            and isfinite(self.eccentricity)
+            and isfinite(self.argp_deg)
+            and isfinite(self.mean_anomaly_deg)
+            and isfinite(self.mean_motion_rev_day)
+            and isfinite(self.bstar)
+            and isfinite(self.ndot_over_2)
+            and isfinite(self.nddot_over_6)
+        ):
+            name = next(n for n in FLOAT_FIELDS if not isfinite(getattr(self, n)))
+            raise TLEFieldError(f"{name} must be finite: {getattr(self, name)}")
 
     # --- derived quantities (the paper's measured variables) --------------
     @property
@@ -109,3 +127,9 @@ class MeanElements:
     def with_bstar(self, bstar: float) -> "MeanElements":
         """Copy with a different B* drag term."""
         return replace(self, bstar=bstar)
+
+
+#: The float fields in declaration order; every one must be finite.
+FLOAT_FIELDS: tuple[str, ...] = tuple(
+    name for name, hint in get_type_hints(MeanElements).items() if hint is float
+)

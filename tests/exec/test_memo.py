@@ -1,7 +1,8 @@
 """Digest and stage-memoization tests, including the persistence tier."""
 
 import json
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -17,6 +18,8 @@ from repro.exec import (
 )
 from repro.io.store import DataStore
 from repro.simulation.scenario import quickstart_scenario
+from repro.time import Epoch
+from repro.tle import MeanElements
 
 from tests.core.helpers import record, steady_history
 
@@ -40,6 +43,32 @@ class TestHistoryDigest:
     def test_order_sensitive(self):
         base = tuple(steady_history(catalog=5, days=10))
         assert history_digest(base) != history_digest(tuple(reversed(base)))
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(MeanElements)])
+    def test_changes_on_any_single_field(self, name):
+        base = tuple(steady_history(catalog=5, days=10))
+        value = getattr(base[3], name)
+        if isinstance(value, Epoch):
+            changed = Epoch(math.nextafter(value.jd, math.inf))
+        elif isinstance(value, float):
+            changed = math.nextafter(value, math.inf)  # one float step
+        elif isinstance(value, int):
+            changed = value + 1
+        else:
+            changed = value + "X"
+        altered = base[:3] + (replace(base[3], **{name: changed}),) + base[4:]
+        assert history_digest(altered) != history_digest(base)
+
+    def test_text_fields_do_not_run_into_each_other(self):
+        base = tuple(steady_history(catalog=5, days=10))
+        left = replace(base[0], classification="U1", intl_designator="9074A")
+        right = replace(base[0], classification="U", intl_designator="19074A")
+        assert history_digest((left,) + base[1:]) != history_digest((right,) + base[1:])
+
+    def test_int_fields_beyond_64_bits_digest(self):
+        base = tuple(steady_history(catalog=5, days=10))
+        huge = (replace(base[0], rev_number=2**64 + 1),) + base[1:]
+        assert history_digest(huge) != history_digest(base)
 
 
 class TestConfigDigest:

@@ -236,6 +236,32 @@ class TestSalvageMode:
         assert salvaging.load_catalog_numbers() == [1, 2]
         assert len(salvaging.ledger) == 1
 
+    def test_non_utf8_bytes_cost_only_their_record(self, store):
+        store.save_history(small_catalog().get(44713))
+        path = store.root / "tles" / "44713.tle"
+        data = path.read_bytes()
+        path.write_bytes(data[:-20] + b"\xff" + data[-19:])  # inside the last line 2
+        salvaging = self.salvage_store(store)
+        history = salvaging.load_history(44713)
+        assert history is not None and len(history) == 4
+        assert "salvaged 4" in salvaging.ledger.entries[0].reason
+        assert DataStore(store.root).load_history(44713) is not None  # healed
+        path.write_bytes(data + b"\xff\xfe")
+        with pytest.raises(IngestError, match="not UTF-8 text"):
+            DataStore(store.root).load_history(44713)
+
+    def test_non_utf8_trace_and_alert_log_are_unreadable(self, store):
+        store.save_trace("{}\n")
+        store.append_alerts(["{}"])
+        (store.root / "obs" / "trace.jsonl").write_bytes(b"\xff\xfe{}\n")
+        (store.root / "alerts" / "alerts.jsonl").write_bytes(b"{}\n\xff\n")
+        assert store.load_trace() is None
+        assert store.load_alerts() is None
+        assert [entry.reason for entry in store.ledger] == [
+            "unreadable trace (UnicodeDecodeError)",
+            "unreadable alert log (UnicodeDecodeError)",
+        ]
+
 
 class TestIngestIntegration:
     def test_cache_feeds_pipeline(self, store, tmp_path):

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.orbits import (
@@ -46,9 +46,14 @@ class TestConversionProperties:
         assert abs(altitude_from_mean_motion(mm) - altitude) < 1e-6
 
     @given(leo_altitudes, leo_altitudes)
+    @example(150.0, 150.00000000000003)
     def test_monotonicity(self, a, b):
+        # Altitudes one float step apart can share a mean motion, so the
+        # strict claim needs a gap the float function resolves.
         if a < b:
-            assert mean_motion_from_altitude(a) > mean_motion_from_altitude(b)
+            assert mean_motion_from_altitude(a) >= mean_motion_from_altitude(b)
+            if b - a >= 1e-6:
+                assert mean_motion_from_altitude(a) > mean_motion_from_altitude(b)
 
     @given(leo_altitudes)
     def test_leo_mean_motion_plausible(self, altitude):

@@ -3,7 +3,9 @@
 Storm episodes, band episodes, the online detector, drag spikes and
 decay onsets all find their runs with :func:`repro.timeseries.runs.runs`.
 Each scalar loop they used before lives on here as the oracle, and a
-hypothesis property asserts the port returns exactly what it did.
+hypothesis property asserts the port returns exactly what it did.  The
+drag-spike baseline's sliding window is checked the same way against
+``np.median`` over each record's trailing slice.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.core.decay import long_term_median_altitude
 from repro.core.relations import (
     TrajectoryEvent,
     TrajectoryEventKind,
+    _trailing_median,
     detect_decay_onsets,
     detect_drag_spikes,
 )
@@ -366,6 +369,15 @@ class TestOnlineDetector:
 
 
 class TestTrajectoryEvents:
+    @given(cleaned_histories(), CONFIGS)
+    def test_trailing_median_matches_per_slice_median(self, cleaned, config):
+        times = np.array([e.epoch.unix for e in cleaned.elements])
+        bstars = np.array([e.bstar for e in cleaned.elements])
+        window_s = config.drag_baseline_days * 86400.0
+        window_start = np.searchsorted(times, times - window_s, side="left")
+        expected = [np.median(bstars[lo : i + 1]) for i, lo in enumerate(window_start)]
+        assert np.array_equal(_trailing_median(bstars, window_start), np.array(expected))
+
     @given(cleaned_histories(), CONFIGS)
     def test_drag_spikes_match_loop(self, cleaned, config):
         assert detect_drag_spikes(cleaned, config) == detect_drag_spikes_loop(

@@ -16,8 +16,11 @@ import pytest
 from repro import analyze
 from repro.exec import result_digest
 from repro.serve.service import AnalysisService
+from repro.tle.format import format_tle
 
+from tests.core.helpers import record
 from tests.serve.conftest import ingest, small_dataset
+from tests.tle.test_parse import NON_FINITE_LINE2, with_field
 
 
 class TestLifecycle:
@@ -104,6 +107,23 @@ class TestIngestAndRefresh:
         response = service.call(
             service.request(
                 "ingest-delta", dst_text=dst_text, tle_text=corrupt + tle_text
+            )
+        )
+        assert response.ok, response.error
+        tle_chunk = response.result["chunks"][1]
+        assert tle_chunk["new_records"] == len(tle_text.splitlines()) // 2
+
+    @pytest.mark.parametrize("start, stop, text", NON_FINITE_LINE2)
+    def test_non_finite_field_is_ledgered_and_the_batch_ingested(
+        self, service, dst_text, tle_text, start, stop, text
+    ):
+        # A record one day past the dataset, so that ingesting it would
+        # count as one more new record.
+        line1, line2 = format_tle(record(1, 30.0, 550.0))
+        corrupt = f"{line1}\n{with_field(line2, start, stop, text)}\n"
+        response = service.call(
+            service.request(
+                "ingest-delta", dst_text=dst_text, tle_text=tle_text + corrupt
             )
         )
         assert response.ok, response.error

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import SpaceWeatherError
+from repro.errors import InputError, SpaceWeatherError
+from repro.inputs import coerce_dst
 from repro.spaceweather import DstIndex, StormLevel
 from repro.time import Epoch
 from repro.timeseries import TimeSeries
@@ -19,6 +20,23 @@ class TestConstruction:
         series = TimeSeries([0.0, 1800.0], [-10.0, -20.0])
         with pytest.raises(SpaceWeatherError):
             DstIndex(series)
+
+    def test_rejects_samples_under_half_an_hour_apart(self):
+        # 0.5 s is within the grid's one-second dust, but the two samples
+        # would count one hour twice (one 2-hour episode of 3 storm hours).
+        series = TimeSeries([0.0, 0.5, 3600.5], [-60.0, -70.0, -80.0])
+        with pytest.raises(SpaceWeatherError, match="at least one hour apart"):
+            DstIndex(series)
+
+    def test_sub_second_steps_in_text_are_input_errors(self):
+        text = (
+            "timestamp,dst_nt\n"
+            "2023-01-01T00:00:00,-60\n"
+            "2023-01-01T00:00:00.5,-70\n"
+            "2023-01-01T01:00:00.5,-80\n"
+        )
+        with pytest.raises(InputError, match="at least one hour apart"):
+            coerce_dst(text)
 
     def test_allows_gaps_of_whole_hours(self):
         series = TimeSeries([0.0, 7200.0], [-10.0, -20.0])

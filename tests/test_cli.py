@@ -185,6 +185,31 @@ class TestDegradedCache:
         assert main(["analyze", "--cache", str(cache), "--strict"]) == 1
         assert "corrupt TLE cache" in capsys.readouterr().err
 
+    def test_non_utf8_history_is_salvaged(self, cache, capsys):
+        with open(cache / "tles" / "44713.tle", "ab") as handle:
+            handle.write(b"\xff\xfe")
+        assert main(["analyze", "--cache", str(cache)]) == 0
+        out = capsys.readouterr().out
+        assert "run health: degraded" in out
+        assert "satellite 44713: salvaged" in out
+        assert (cache / "quarantine" / "44713.tle").exists()
+        assert main(["analyze", "--cache", str(cache), "--strict"]) == 0
+        assert "run health: healthy" in capsys.readouterr().out
+
+    def test_non_utf8_history_fails_strict_with_a_typed_error(self, cache, capsys):
+        with open(cache / "tles" / "44713.tle", "ab") as handle:
+            handle.write(b"\xff\xfe")
+        assert main(["analyze", "--cache", str(cache), "--strict"]) == 1
+        assert "corrupt TLE cache for 44713: not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_utf8_catalog_numbers_line_is_skipped(self, cache, capsys):
+        with open(cache / "catalog_numbers.txt", "ab") as handle:
+            handle.write(b"\xff\xfe\n")
+        assert main(["analyze", "--cache", str(cache)]) == 0
+        out = capsys.readouterr().out
+        assert "skipped 1 corrupt catalog-number line(s)" in out
+        assert "44800" in out
+
 
 class TestSimulateCommand:
     def test_simulate_quickstart(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import TLEFieldError
 from repro.time import Epoch
 from repro.tle import MeanElements
+from repro.tle.elements import FLOAT_FIELDS
 
 
 def make(**overrides):
@@ -40,6 +41,16 @@ class TestValidation:
     def test_rejects_nonpositive_mean_motion(self):
         with pytest.raises(TLEFieldError):
             make(mean_motion_rev_day=0.0)
+
+    def test_rejects_nan_bstar(self):
+        with pytest.raises(TLEFieldError, match="bstar must be finite"):
+            make(bstar=float("nan"))
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_every_non_finite_float_field(self, name, value):
+        with pytest.raises(TLEFieldError):
+            make(**{name: value})
 
 
 class TestDerived:

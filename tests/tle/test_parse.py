@@ -2,15 +2,29 @@
 
 import pytest
 
-from repro.errors import TLEChecksumError, TLEFormatError
+from repro.errors import TLEChecksumError, TLEFieldError, TLEFormatError
 from repro.tle import parse_tle, parse_tle_file
-from repro.tle.fields import verify_checksum
+from repro.tle.fields import append_checksum, verify_checksum
 from repro.tle.format import format_tle
 
 from tests.core.helpers import record
 
 ISS_LINE1 = "1 25544U 98067A   08264.51782528 -.00002182  00000-0 -11606-4 0  2927"
 ISS_LINE2 = "2 25544  51.6416 247.4627 0006703 130.5360 325.0288 15.72125391563537"
+
+
+#: Line-2 fields ``float()`` reads as non-finite: (start, stop, text).
+NON_FINITE_LINE2 = [
+    pytest.param(17, 25, "     nan", id="raan-nan"),
+    pytest.param(17, 25, "     inf", id="raan-inf"),
+    pytest.param(52, 63, "   Infinity", id="mean-motion-infinity"),
+]
+
+
+def with_field(line: str, start: int, stop: int, text: str) -> str:
+    """*line* with columns ``[start, stop)`` set to *text* and its
+    checksum recomputed, so only the field check can reject it."""
+    return append_checksum(line[:start] + text + line[stop:68])
 
 
 class TestStrictParse:
@@ -68,6 +82,13 @@ class TestStrictParse:
         with pytest.raises(TLEFormatError, match="line 2 is not ASCII"):
             parse_tle(ISS_LINE1, line2, verify=False)
 
+    @pytest.mark.parametrize("start, stop, text", NON_FINITE_LINE2)
+    def test_rejects_non_finite_fields(self, start, stop, text):
+        line2 = with_field(ISS_LINE2, start, stop, text)
+        assert verify_checksum(line2)
+        with pytest.raises(TLEFieldError, match="must be finite"):
+            parse_tle(ISS_LINE1, line2)
+
     def test_trailing_newline_tolerated(self):
         el = parse_tle(ISS_LINE1 + "\n", ISS_LINE2 + "\n")
         assert el.catalog_number == 25544
@@ -114,6 +135,15 @@ class TestLenientFileParse:
         assert report.parsed_count == 1
         assert report.errors == [(1, report.errors[0][1])]
         assert "not ASCII" in report.errors[0][1]
+
+    @pytest.mark.parametrize("start, stop, text", NON_FINITE_LINE2)
+    def test_non_finite_field_is_ledgered_not_parsed(self, start, stop, text):
+        line1, line2 = format_tle(record(1, 0.0, 550.0))
+        bad2 = with_field(line2, start, stop, text)
+        report = parse_tle_file([line1, bad2, ISS_LINE1, ISS_LINE2])
+        assert report.parsed_count == 1
+        assert report.errors == [(1, report.errors[0][1])]
+        assert "must be finite" in report.errors[0][1]
 
     def test_non_ascii_checksum_digit_is_rejected(self):
         # "٥" (Arabic-Indic five) used to verify as 5.
